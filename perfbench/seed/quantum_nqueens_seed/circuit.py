@@ -1,0 +1,265 @@
+"""Gate-level circuit IR and the builders for the three solver stages.
+
+Register layout over Q_total = n^2 + (n-1) + n(n-1)/2 qubits:
+  - system qubits 0 .. n^2-1, cell (r, c) at index r*n + c;
+  - column ancillas n^2 .. n^2+n-2, one per column 0 .. n-2;
+  - diagonal ancillas n^2+n-1 .. Q_total-1, 1-based pair index k at offset k-1.
+
+Stages: per-row W-state preparation, H-CZ...CZ-H column parity sandwiches,
+then Toffoli diagonal checks onto ancillas pre-flipped to |1>.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from dataclasses import dataclass, field
+
+from .board import diagonal_pairs
+
+GATE_KINDS = {"X", "H", "RY", "CX", "CRY", "CZ", "CCX"}
+_ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
+_PARAMETRIC = {"RY", "CRY"}
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One gate: controls listed before the target in `qubits`."""
+
+    kind: str
+    qubits: tuple[int, ...]
+    theta: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if len(self.qubits) != _ARITY[self.kind]:
+            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubits")
+        if len(set(self.qubits)) != len(self.qubits):
+            raise ValueError("gate operands must be distinct")
+        if self.kind in _PARAMETRIC:
+            if self.theta is None or not math.isfinite(self.theta):
+                raise ValueError(f"{self.kind} requires a finite angle")
+        elif self.theta is not None:
+            raise ValueError(f"{self.kind} takes no angle")
+
+    def inverse(self) -> "Gate":
+        if self.kind in _PARAMETRIC:
+            return Gate(self.kind, self.qubits, -self.theta)
+        return self  # X, H, CX, CZ, CCX are self-inverse
+
+
+@dataclass(frozen=True)
+class RegisterLayout:
+    n: int
+    q_total: int
+
+    @property
+    def n_system(self) -> int:
+        return self.n * self.n
+
+    @property
+    def n_col_anc(self) -> int:
+        return self.n - 1
+
+    @property
+    def n_diag_anc(self) -> int:
+        return self.n * (self.n - 1) // 2
+
+    def system_qubit(self, r: int, c: int) -> int:
+        if not (0 <= r < self.n and 0 <= c < self.n):
+            raise ValueError(f"cell ({r}, {c}) out of range for n={self.n}")
+        return r * self.n + c
+
+    def col_anc_qubit(self, c: int) -> int:
+        if not 0 <= c < self.n - 1:
+            raise ValueError(f"no column ancilla for column {c} (n={self.n})")
+        return self.n * self.n + c
+
+    def diag_anc_qubit(self, k: int) -> int:
+        """Qubit for the 1-based diagonal-pair index k."""
+        if not 1 <= k <= self.n_diag_anc:
+            raise ValueError(f"diagonal ancilla index {k} out of range")
+        return self.n * self.n + self.n - 2 + k
+
+
+@dataclass(frozen=True)
+class Circuit:
+    layout: RegisterLayout
+    gates: tuple[Gate, ...]
+
+    def __post_init__(self) -> None:
+        for gate in self.gates:
+            if any(q >= self.layout.q_total for q in gate.qubits):
+                raise ValueError(f"gate {gate} exceeds layout of {self.layout.q_total} qubits")
+
+    def dump(self) -> str:
+        """One gate per line: `KIND q[a] q[b] q[c] (theta=...)`."""
+        lines = []
+        for g in self.gates:
+            parts = [g.kind] + [f"q[{q}]" for q in g.qubits]
+            if g.theta is not None:
+                parts.append(f"(theta={g.theta!r})")
+            lines.append(" ".join(parts))
+        return "\n".join(lines)
+
+
+def layout(n: int) -> RegisterLayout:
+    if n < 1:
+        raise ValueError(f"board size must be >= 1, got {n}")
+    q_total = n * n + (n - 1) + n * (n - 1) // 2
+    return RegisterLayout(n=n, q_total=q_total)
+
+
+def build_w_prep(n: int, row: int) -> list[Gate]:
+    """Map the n qubits of one row block from |0...0> to the equal one-hot
+    superposition, via a linear controlled-rotation cascade.
+
+    X on the block's first qubit, then for i = 1 .. n-1:
+    CRY(2*arccos(sqrt(1/(n-i+1)))) from qubit i-1 onto qubit i, followed by
+    CX from qubit i back onto qubit i-1.
+    """
+    if not 0 <= row < n:
+        raise ValueError(f"row {row} out of range for n={n}")
+    base = row * n
+    gates = [Gate("X", (base,))]
+    for i in range(1, n):
+        theta = 2.0 * math.acos(math.sqrt(1.0 / (n - i + 1)))
+        gates.append(Gate("CRY", (base + i - 1, base + i), theta))
+        gates.append(Gate("CX", (base + i, base + i - 1)))
+    return gates
+
+
+def build_column_checks(n: int) -> list[Gate]:
+    """Phase-kickback parity sandwich per column 0 .. n-2.
+
+    For each checked column: H on its ancilla, CZ against the column's qubit
+    in every row (ascending), then H again. The ancilla ends in |1> iff the
+    column sum is odd. The last column needs no check.
+    """
+    lay = layout(n)
+    gates: list[Gate] = []
+    for c in range(n - 1):
+        anc = lay.col_anc_qubit(c)
+        gates.append(Gate("H", (anc,)))
+        for r in range(n):
+            gates.append(Gate("CZ", (anc, lay.system_qubit(r, c))))
+        gates.append(Gate("H", (anc,)))
+    return gates
+
+
+def ancilla_index(i: int, j: int, n: int) -> int:
+    """1-based diagonal-ancilla index k for the 1-based row pair (i, j), i < j.
+
+    k = (i-1)(2n-i)/2 + (j-i); bijective onto 1 .. n(n-1)/2.
+    """
+    if not (1 <= i < j <= n):
+        raise ValueError(f"requires 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    return (i - 1) * (2 * n - i) // 2 + (j - i)
+
+
+def build_diagonal_checks(n: int) -> list[Gate]:
+    """X every diagonal ancilla to |1>, then one Toffoli per diagonal cell pair.
+
+    Pairs run in canonical order (ascending i, j, x, y); controls are the two
+    system qubits, target the ancilla assigned to the row pair. An ancilla
+    ends |0> iff its row pair's queens share a diagonal.
+    """
+    lay = layout(n)
+    gates = [Gate("X", (lay.diag_anc_qubit(k),)) for k in range(1, lay.n_diag_anc + 1)]
+    for (i, x), (j, y) in diagonal_pairs(n):
+        k = ancilla_index(i + 1, j + 1, n)
+        gates.append(
+            Gate("CCX", (lay.system_qubit(i, x), lay.system_qubit(j, y), lay.diag_anc_qubit(k)))
+        )
+    return gates
+
+
+def build_full_circuit(n: int) -> Circuit:
+    """W-state preparation for every row, then column checks, then diagonal checks."""
+    gates: list[Gate] = []
+    for row in range(n):
+        gates.extend(build_w_prep(n, row))
+    gates.extend(build_column_checks(n))
+    gates.extend(build_diagonal_checks(n))
+    return Circuit(layout=layout(n), gates=tuple(gates))
+
+
+@dataclass(frozen=True)
+class GateCensus:
+    """Per-kind gate counts plus the two totals the closed forms predict.
+
+    `column_check_gates` covers the H and CZ gates of the parity sandwiches;
+    `diagonal_ccx` counts Toffolis only (ancilla-init X gates are reported
+    under `counts` but excluded from the total).
+    """
+
+    counts: dict[str, int] = field(default_factory=dict)
+    column_check_gates: int = 0
+    diagonal_ccx: int = 0
+
+
+def gate_census(circuit: Circuit) -> GateCensus:
+    """Count the built circuit's gates by kind.
+
+    H and CZ occur only in column checks and CCX only in diagonal checks, so
+    the stage totals are recovered directly from the kind counts.
+    """
+    counts = Counter(g.kind for g in circuit.gates)
+    return GateCensus(
+        counts=dict(counts),
+        column_check_gates=counts["H"] + counts["CZ"],
+        diagonal_ccx=counts["CCX"],
+    )
+
+
+def qubit_total(n: int) -> int:
+    """Closed form 3n^2/2 + n/2 - 1, kept in exact integer arithmetic."""
+    if n < 1:
+        raise ValueError(f"board size must be >= 1, got {n}")
+    return (3 * n * n + n - 2) // 2
+
+
+def column_check_gate_count(n: int) -> int:
+    """(n-1)(n+2): two H plus n CZ per checked column."""
+    return (n - 1) * (n + 2) if n >= 2 else 0
+
+
+def diagonal_pair_count(n: int) -> int:
+    """n^2(n-1) - n(n-1) - n(n-1)(n-2)/3, one Toffoli per diagonal pair."""
+    return n * n * (n - 1) - n * (n - 1) - n * (n - 1) * (n - 2) // 3
+
+
+def diagonal_pair_count_sum(n: int) -> int:
+    """The same count as an explicit double sum over row offsets."""
+    return sum(2 * (n - j) for i in range(1, n) for j in range(1, n - i + 1))
+
+
+def diagonal_pair_count_simplified(n: int) -> int:
+    """Simplified cubic n(n-1)(2n-1)/3; equals diagonal_pair_count for all n."""
+    return n * (n - 1) * (2 * n - 1) // 3
+
+
+def w_prep_gate_count(n: int) -> int:
+    """Per-row X + (n-1) CRY + (n-1) CX, summed over n rows."""
+    return n * (2 * n - 1)
+
+
+def closed_form_census(n: int) -> GateCensus:
+    """Predicted census from the closed forms, without building a circuit."""
+    if n < 1:
+        raise ValueError(f"board size must be >= 1, got {n}")
+    n_col = n - 1 if n >= 2 else 0
+    counts = {
+        "X": n + n * (n - 1) // 2,  # W-prep seeds + diagonal ancilla init
+        "CRY": n * (n - 1),
+        "CX": n * (n - 1),
+        "H": 2 * n_col,
+        "CZ": n * n_col,
+        "CCX": diagonal_pair_count(n),
+    }
+    return GateCensus(
+        counts={k: v for k, v in counts.items() if v},
+        column_check_gates=column_check_gate_count(n),
+        diagonal_ccx=diagonal_pair_count(n),
+    )
