@@ -31,10 +31,9 @@ class OutcomeRecord:
     board: BoardConfig
     col_anc: tuple[int, ...]
     diag_anc: tuple[int, ...]
-    amplitude: complex | None = None
 
 
-def decode(label: int, layout: RegisterLayout, amplitude: complex | None = None) -> OutcomeRecord:
+def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
     """Split a basis label into board, column-ancilla, and diagonal-ancilla bits."""
     n = layout.n
     cells = tuple(
@@ -48,7 +47,7 @@ def decode(label: int, layout: RegisterLayout, amplitude: complex | None = None)
     diag_anc = tuple(
         label >> layout.diag_anc_qubit(k) & 1 for k in range(1, layout.n_diag_anc + 1)
     )
-    return OutcomeRecord(board=board, col_anc=col_anc, diag_anc=diag_anc, amplitude=amplitude)
+    return OutcomeRecord(board=board, col_anc=col_anc, diag_anc=diag_anc)
 
 
 def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
@@ -130,10 +129,10 @@ class VerificationReport:
         )
 
 
-def verify_against_oracle(n: int, workers: int = 1) -> VerificationReport:
+def verify_against_oracle(n: int) -> VerificationReport:
     """Run the full pipeline and certify equivalence with the classical oracle."""
     circuit = circuit_mod.build_full_circuit(n)
-    state = sim_mod.run(circuit, workers=workers)
+    state = sim_mod.run(circuit)
 
     mismatches = 0
     for lbl, _ in sim_mod.readout(state):
@@ -194,17 +193,18 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     """Seeded measurement summary: distinct outcomes, solution hits, and a
     chi-square uniformity statistic over the state's support.
 
-    Chi-square is degenerate (reported as None) when the support has a single
-    outcome.
+    Each support term is decoded once; shots are counted against those
+    decodes. Chi-square is degenerate (reported as None) when the support has
+    a single outcome.
     """
     labels = sim_mod.sample(state, shots, seed)
     support = [lbl for lbl, _ in sim_mod.readout(state)]
 
-    hits = 0
-    for lbl in labels:
+    is_solution = {}
+    for lbl in support:
         record = decode(lbl, state.layout)
-        if all(record.col_anc) and all(record.diag_anc):
-            hits += 1
+        is_solution[lbl] = all(record.col_anc) and all(record.diag_anc)
+    hits = sum(is_solution[lbl] for lbl in labels)
 
     chi_square = p_value = None
     if len(support) > 1:

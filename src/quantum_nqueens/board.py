@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -184,9 +184,3 @@ def verify_even_parity_proposition(n: int, max_n: int = 10) -> bool:
         if evens % 2 != 0:
             return False
     return True
-
-
-def boards_equal_as_sets(
-    a: Sequence[PermutationVector], b: Sequence[PermutationVector]
-) -> bool:
-    return sorted(p.cols for p in a) == sorted(p.cols for p in b)

@@ -1,7 +1,8 @@
 """Command-line interface for the quantum N-Queens pipeline.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
-3 simulation size cap exceeded. All randomness flows from --seed.
+3 simulation size cap exceeded, 4 output file cannot be written. All
+randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_IO = 4
 
 DEFAULT_MAX_N = 6
 FORMAT_ENV_VAR = "NQSOLVE_FORMAT"
@@ -87,25 +89,24 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
     if n > CLOSED_FORM_CAP:
         raise ResourceCapError(f"n={n} exceeds the counts cap {CLOSED_FORM_CAP}")
     predicted = circuit.closed_form_census(n)
-    rows = [
-        ("qubits", circuit.qubit_total(n), None),
-        ("column-check gates", predicted.column_check_gates, None),
-        ("diagonal Toffolis", predicted.diagonal_ccx, None),
-        ("W-prep gates", circuit.w_prep_gate_count(n), None),
-    ]
+    built = [None] * 4
     if n <= BUILT_CENSUS_CAP:
         built_circuit = circuit.build_full_circuit(n)
-        built = circuit.gate_census(built_circuit)
-        rows = [
-            ("qubits", circuit.qubit_total(n), built_circuit.layout.q_total),
-            ("column-check gates", predicted.column_check_gates, built.column_check_gates),
-            ("diagonal Toffolis", predicted.diagonal_ccx, built.diagonal_ccx),
-            (
-                "W-prep gates",
-                circuit.w_prep_gate_count(n),
-                sum(len(circuit.build_w_prep(n, r)) for r in range(n)),
-            ),
+        census = circuit.gate_census(built_circuit)
+        built = [
+            built_circuit.layout.q_total,
+            census.column_check_gates,
+            census.diagonal_ccx,
+            sum(len(circuit.build_w_prep(n, r)) for r in range(n)),
         ]
+    closed_forms = [
+        circuit.qubit_total(n),
+        predicted.column_check_gates,
+        predicted.diagonal_ccx,
+        circuit.w_prep_gate_count(n),
+    ]
+    names = ["qubits", "column-check gates", "diagonal Toffolis", "W-prep gates"]
+    rows = list(zip(names, closed_forms, built))
     mismatch = False
     if args.format == "json":
         payload = {"n": n}
@@ -168,7 +169,7 @@ def cmd_export_qasm(args: argparse.Namespace, out) -> int:
                 fh.write(doc.text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
+            return EXIT_IO
         print(f"wrote {args.out} ({doc.gate_line_count} gate statements)", file=out)
     else:
         out.write(doc.text)

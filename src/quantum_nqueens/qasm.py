@@ -26,10 +26,6 @@ class QasmDocument:
     gate_line_count: int
 
 
-def _format_angle(theta: float) -> str:
-    return repr(theta)
-
-
 def export_qasm(circuit: Circuit) -> QasmDocument:
     """Serialize a circuit, in canonical gate order, to OpenQASM 2.0."""
     lay = circuit.layout
@@ -55,18 +51,16 @@ def export_qasm(circuit: Circuit) -> QasmDocument:
     for g in circuit.gates:
         if g.kind == "CRY":
             ctrl, tgt = g.qubits
-            half = _format_angle(g.theta / 2.0)
-            neg_half = _format_angle(-g.theta / 2.0)
-            lines.append(f"ry({half}) q[{tgt}];")
+            lines.append(f"ry({g.theta / 2.0!r}) q[{tgt}];")
             lines.append(f"cx q[{ctrl}],q[{tgt}];")
-            lines.append(f"ry({neg_half}) q[{tgt}];")
+            lines.append(f"ry({-g.theta / 2.0!r}) q[{tgt}];")
             lines.append(f"cx q[{ctrl}],q[{tgt}];")
             gate_count += 4
         else:
             name = g.kind.lower()
             args = ",".join(f"q[{q}]" for q in g.qubits)
             if g.theta is not None:
-                lines.append(f"{name}({_format_angle(g.theta)}) {args};")
+                lines.append(f"{name}({g.theta!r}) {args};")
             else:
                 lines.append(f"{name} {args};")
             gate_count += 1
@@ -125,6 +119,8 @@ def parse_qasm_subset(text: str) -> Circuit:
         if lay is None:
             raise QasmParseError(lineno, "gate statement before qreg declaration")
         qubits = tuple(int(q) for q in re.findall(r"q\[(\d+)\]", m.group("operands")))
+        if max(qubits) >= lay.q_total:
+            raise QasmParseError(lineno, f"qubit index out of range for qreg q[{lay.q_total}]")
         theta = None
         if m.group("arg") is not None:
             try:

@@ -2,16 +2,18 @@
 
 A state is a mapping from basis labels to complex amplitudes. Labels are
 Python ints (qubit q is bit q), so widths beyond 64 qubits cost nothing.
-X/CX/CCX move amplitudes between labels and CZ negates them, all without
-floating-point arithmetic; H/RY/CRY split terms in two and merge collisions
-by complex addition, pruning anything below 1e-12 magnitude.
+Every gate lists its controls before its target and acts on a term in one of
+three ways once all its controls are set: X/CX/CCX flip the target bit and CZ
+negates the amplitude, both without floating-point arithmetic; H/RY/CRY split
+the term in two by the gate's real 2x2 matrix and merge collisions by
+addition, pruning anything below 1e-12 magnitude.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -52,102 +54,65 @@ def bitstring(label: int, width: int) -> str:
     return "".join("1" if label >> q & 1 else "0" for q in range(width))
 
 
-def _apply_terms(gate: Gate, terms: list[tuple[int, complex]]) -> dict[int, complex]:
-    """Apply one gate to a batch of terms; pure function of the batch."""
-    kind = gate.kind
-    out: dict[int, complex] = {}
+_PERMUTE = {"X", "CX", "CCX"}
+_PHASE = {"CZ"}
+_SPLIT = {"H", "RY", "CRY"}
 
-    if kind == "X":
-        mask = 1 << gate.qubits[0]
-        return {lbl ^ mask: a for lbl, a in terms}
 
-    if kind == "CX":
-        cmask = 1 << gate.qubits[0]
-        tmask = 1 << gate.qubits[1]
-        return {(lbl ^ tmask if lbl & cmask else lbl): a for lbl, a in terms}
+def _split_matrix(gate: Gate) -> tuple[float, float, float, float]:
+    """Entries m00, m01, m10, m11 of the real 2x2 matrix of an H/RY/CRY target."""
+    if gate.kind == "H":
+        return _SQRT1_2, _SQRT1_2, _SQRT1_2, -_SQRT1_2
+    c = math.cos(gate.theta / 2.0)
+    s = math.sin(gate.theta / 2.0)
+    return c, -s, s, c
 
-    if kind == "CCX":
-        cmask = (1 << gate.qubits[0]) | (1 << gate.qubits[1])
-        tmask = 1 << gate.qubits[2]
+
+def _apply_terms(gate: Gate, terms: Iterable[tuple[int, complex]]) -> dict[int, complex]:
+    """Apply one gate to (label, amplitude) terms; terms whose controls are
+    not all set pass through unchanged."""
+    *controls, target = gate.qubits
+    cmask = sum(1 << q for q in controls)
+    tmask = 1 << target
+
+    if gate.kind in _PERMUTE:
         return {(lbl ^ tmask if lbl & cmask == cmask else lbl): a for lbl, a in terms}
 
-    if kind == "CZ":
-        cmask = (1 << gate.qubits[0]) | (1 << gate.qubits[1])
+    if gate.kind in _PHASE:
+        cmask |= tmask
         return {lbl: (-a if lbl & cmask == cmask else a) for lbl, a in terms}
 
-    if kind == "H":
-        mask = 1 << gate.qubits[0]
-        for lbl, a in terms:
-            half = a * _SQRT1_2
-            if lbl & mask:
-                lo = lbl ^ mask
-                out[lo] = out.get(lo, 0.0) + half
-                out[lbl] = out.get(lbl, 0.0) - half
-            else:
-                out[lbl] = out.get(lbl, 0.0) + half
-                hi = lbl | mask
-                out[hi] = out.get(hi, 0.0) + half
-        return out
-
-    if kind in ("RY", "CRY"):
-        if kind == "RY":
-            cmask = 0
-            tmask = 1 << gate.qubits[0]
+    if gate.kind not in _SPLIT:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    m00, m01, m10, m11 = _split_matrix(gate)
+    out: dict[int, complex] = {}
+    get = out.get
+    for lbl, a in terms:
+        if lbl & cmask != cmask:
+            out[lbl] = get(lbl, 0.0) + a
+            continue
+        if lbl & tmask:
+            lo, hi, a_lo, a_hi = lbl ^ tmask, lbl, m01 * a, m11 * a
         else:
-            cmask = 1 << gate.qubits[0]
-            tmask = 1 << gate.qubits[1]
-        c = math.cos(gate.theta / 2.0)
-        s = math.sin(gate.theta / 2.0)
-        for lbl, a in terms:
-            if cmask and not lbl & cmask:
-                out[lbl] = out.get(lbl, 0.0) + a
-                continue
-            if lbl & tmask:
-                lo = lbl ^ tmask
-                out[lo] = out.get(lo, 0.0) - a * s
-                out[lbl] = out.get(lbl, 0.0) + a * c
-            else:
-                out[lbl] = out.get(lbl, 0.0) + a * c
-                hi = lbl | tmask
-                out[hi] = out.get(hi, 0.0) + a * s
-        return out
-
-    raise ValueError(f"unknown gate kind {kind!r}")
+            lo, hi, a_lo, a_hi = lbl, lbl | tmask, m00 * a, m10 * a
+        out[lo] = get(lo, 0.0) + a_lo
+        out[hi] = get(hi, 0.0) + a_hi
+    return {lbl: a for lbl, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
 
 
-def apply_gate(state: SparseState, gate: Gate, workers: int = 1) -> SparseState:
-    """Exact action of the gate's unitary; returns a new state.
-
-    With workers > 1 the terms are partitioned, each chunk processed
-    independently, and the partial results merged by amplitude addition; the
-    merged result is independent of the partitioning.
-    """
+def apply_gate(state: SparseState, gate: Gate) -> SparseState:
+    """Exact action of the gate's unitary; returns a new state whose amplitudes
+    do not depend on the order of the input terms."""
     if any(q >= state.layout.q_total for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for {state.layout.q_total} qubits")
-
-    items = list(state.terms.items())
-    if workers <= 1 or len(items) < 2 * workers:
-        merged = _apply_terms(gate, items)
-    else:
-        chunk = (len(items) + workers - 1) // workers
-        batches = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda b: _apply_terms(gate, b), batches))
-        merged = partials[0]
-        for partial in partials[1:]:
-            for lbl, a in partial.items():
-                merged[lbl] = merged.get(lbl, 0.0) + a
-
-    if gate.kind in ("H", "RY", "CRY"):
-        merged = {lbl: a for lbl, a in merged.items() if abs(a) >= PRUNE_THRESHOLD}
-    return SparseState(layout=state.layout, terms=merged)
+    return SparseState(layout=state.layout, terms=_apply_terms(gate, state.terms.items()))
 
 
-def run(circuit: Circuit, workers: int = 1) -> SparseState:
+def run(circuit: Circuit) -> SparseState:
     """Fold apply_gate over the circuit starting from the all-zeros state."""
     state = init_state(circuit.layout)
     for gate in circuit.gates:
-        state = apply_gate(state, gate, workers=workers)
+        state = apply_gate(state, gate)
     return state
 
 

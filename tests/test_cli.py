@@ -138,6 +138,13 @@ class TestExportQasm:
         circuit = parse_qasm_subset(path.read_text())
         assert circuit.layout.q_total == 25
 
+    def test_unwritable_path_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.qasm"
+        code, text = invoke(["export-qasm", "2", "-o", str(path)])
+        assert code == cli.EXIT_IO == 4
+        assert text == ""
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_negative_n(self):

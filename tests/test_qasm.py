@@ -80,6 +80,12 @@ class TestParse:
         with pytest.raises(QasmParseError):
             parse_qasm_subset("OPENQASM 2.0;\nqreg q[1];\nif (c==1) x q[0];\n")
 
+    def test_operand_out_of_range_names_line(self):
+        with pytest.raises(QasmParseError) as err:
+            parse_qasm_subset("OPENQASM 2.0;\nqreg q[1];\nx q[5];\n")
+        assert err.value.lineno == 3
+        assert "line 3" in str(err.value)
+
     def test_missing_qreg(self):
         with pytest.raises(QasmParseError):
             parse_qasm_subset("OPENQASM 2.0;\nx q[0];\n")

@@ -202,26 +202,6 @@ class TestPermutationExactness:
         assert final_amp == -amp
 
 
-class TestWorkers:
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_multi_worker_equals_single(self, workers):
-        circuit = build_full_circuit(4)
-        ref = init_state(circuit.layout)
-        par = init_state(circuit.layout)
-        for g in circuit.gates:
-            ref = apply_gate(ref, g)
-            par = apply_gate(par, g, workers=workers)
-        assert set(ref.terms) == set(par.terms)
-        for lbl, a in ref.terms.items():
-            assert abs(a - par.terms[lbl]) < 1e-12
-
-    def test_run_with_workers(self):
-        ref = run(build_full_circuit(3))
-        par = run(build_full_circuit(3), workers=4)
-        for lbl, a in ref.terms.items():
-            assert abs(a - par.terms[lbl]) < 1e-12
-
-
 class TestReadout:
     def test_sorted_lexicographically(self):
         state = run(build_full_circuit(2))
