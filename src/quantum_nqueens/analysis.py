@@ -193,15 +193,15 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     """Seeded measurement summary: distinct outcomes, solution hits, and a
     chi-square uniformity statistic over the state's support.
 
-    Each support term is decoded once; shots are counted against those
-    decodes. Chi-square is degenerate (reported as None) when the support has
-    a single outcome.
+    Each distinct sampled label is decoded once, in first-hit order; shots are
+    counted against those decodes. Chi-square is degenerate (reported as None)
+    when the support has a single outcome.
     """
     labels = sim_mod.sample(state, shots, seed)
     support = [lbl for lbl, _ in sim_mod.readout(state)]
 
     is_solution = {}
-    for lbl in support:
+    for lbl in dict.fromkeys(labels):
         record = decode(lbl, state.layout)
         is_solution[lbl] = all(record.col_anc) and all(record.diag_anc)
     hits = sum(is_solution[lbl] for lbl in labels)
@@ -220,7 +220,7 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
         shots=shots,
         seed=seed,
         rng_algorithm=sim_mod.RNG_ALGORITHM,
-        distinct_outcomes=len(set(labels)),
+        distinct_outcomes=len(is_solution),
         solution_hits=hits,
         chi_square=chi_square,
         p_value=p_value,
