@@ -1,19 +1,30 @@
 """Exact sparse statevector engine.
 
-A state is a mapping from basis labels to complex amplitudes. Labels are
-Python ints (qubit q is bit q), so widths beyond 64 qubits cost nothing.
-Every gate lists its controls before its target and acts on a term in one of
-three ways once all its controls are set: X/CX/CCX flip the target bit and CZ
-negates the amplitude, both without floating-point arithmetic; H/RY/CRY split
-the term in two by the gate's real 2x2 matrix and merge collisions by
-addition, pruning anything below 1e-12 magnitude.
+A state is two parallel numpy arrays with one row per nonzero basis term:
+`labels`, an (N, W) uint64 array, and `amps`, an (N,) complex128 array. A
+label spans W = ceil(q_total / 64) words, qubit q being bit q % 64 of word
+q // 64, so every register width runs the same code. No label repeats.
+
+Every gate lists its controls before its target and acts only on the terms
+whose controls are all set:
+
+- X/CX/CCX XOR the target bit and CZ negates the amplitude, both without
+  floating-point arithmetic, so they are bit-exact;
+- H/RY/CRY split each term into its lo/hi halves by the gate's real 2x2
+  matrix. The halves and the pass-through terms are sorted together by a
+  lexsort over the word columns, each run of equal labels is summed with
+  `np.add.reduceat`, and sums below 1e-12 magnitude are pruned.
+
+Readout order is the qubit-0-first bitstring order, which is the numeric order
+of the bit-reversed label: a lexsort over the bit-reversed words, with no
+string built per term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -25,23 +36,66 @@ NORM_TOLERANCE = 1e-6
 #: Algorithm behind the sampling RNG, recorded in report metadata.
 RNG_ALGORITHM = "PCG64"
 
+WORD_BITS = 64
+_WORD_MASK = (1 << WORD_BITS) - 1
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+# Byte b with its eight bits in reverse order.
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 class StateNormError(ValueError):
     """Raised when an operation requires a normalized state and the norm is off."""
 
 
-@dataclass
+def _to_ints(labels: np.ndarray) -> list[int]:
+    """Python-int labels of an (N, W) word array."""
+    ints = labels[:, -1].tolist()
+    for w in range(labels.shape[1] - 2, -1, -1):
+        ints = [hi << WORD_BITS | lo for hi, lo in zip(ints, labels[:, w].tolist())]
+    return ints
+
+
 class SparseState:
-    layout: RegisterLayout
-    terms: dict[int, complex] = field(default_factory=dict)
+    """A state's terms as parallel `labels` and `amps` arrays (read-only).
+
+    Built from a mapping of Python-int labels to amplitudes; `terms` reads the
+    state back as such a mapping, built on first use and cached.
+    """
+
+    def __init__(self, layout: RegisterLayout, terms: Mapping[int, complex] | None = None):
+        terms = {} if terms is None else terms
+        if any(lbl < 0 or lbl >> layout.q_total for lbl in terms):
+            raise ValueError(f"label out of range for {layout.q_total} qubits")
+        width = -(-layout.q_total // WORD_BITS)
+        labels = np.array(
+            [[lbl >> (WORD_BITS * w) & _WORD_MASK for w in range(width)] for lbl in terms],
+            dtype=np.uint64,
+        ).reshape(len(terms), width)
+        self._init(layout, labels, np.array(list(terms.values()), dtype=np.complex128))
+
+    @classmethod
+    def _from_arrays(cls, layout: RegisterLayout, labels: np.ndarray, amps: np.ndarray):
+        state = cls.__new__(cls)
+        state._init(layout, labels, amps)
+        return state
+
+    def _init(self, layout: RegisterLayout, labels: np.ndarray, amps: np.ndarray) -> None:
+        labels.flags.writeable = False
+        amps.flags.writeable = False
+        self.layout, self.labels, self.amps = layout, labels, amps
+        self._terms: Mapping[int, complex] | None = None
+
+    @property
+    def terms(self) -> Mapping[int, complex]:
+        if self._terms is None:
+            self._terms = MappingProxyType(dict(zip(_to_ints(self.labels), self.amps.tolist())))
+        return self._terms
 
     def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        return float(np.sum(np.abs(self.amps) ** 2))
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.amps)
 
 
 def init_state(layout: RegisterLayout) -> SparseState:
@@ -68,36 +122,30 @@ def _split_matrix(gate: Gate) -> tuple[float, float, float, float]:
     return c, -s, s, c
 
 
-def _apply_terms(gate: Gate, terms: Iterable[tuple[int, complex]]) -> dict[int, complex]:
-    """Apply one gate to (label, amplitude) terms; terms whose controls are
-    not all set pass through unchanged."""
-    *controls, target = gate.qubits
-    cmask = sum(1 << q for q in controls)
-    tmask = 1 << target
+def _all_set(labels: np.ndarray, qubits) -> np.ndarray:
+    """Rows of `labels` in which every one of `qubits` is set."""
+    masks: dict[int, int] = {}
+    for q in qubits:
+        masks[q // WORD_BITS] = masks.get(q // WORD_BITS, 0) | 1 << q % WORD_BITS
+    rows = np.ones(len(labels), dtype=bool)
+    for word, mask in masks.items():
+        rows &= labels[:, word] & np.uint64(mask) == np.uint64(mask)
+    return rows
 
-    if gate.kind in _PERMUTE:
-        return {(lbl ^ tmask if lbl & cmask == cmask else lbl): a for lbl, a in terms}
 
-    if gate.kind in _PHASE:
-        cmask |= tmask
-        return {lbl: (-a if lbl & cmask == cmask else a) for lbl, a in terms}
-
-    if gate.kind not in _SPLIT:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    m00, m01, m10, m11 = _split_matrix(gate)
-    out: dict[int, complex] = {}
-    get = out.get
-    for lbl, a in terms:
-        if lbl & cmask != cmask:
-            out[lbl] = get(lbl, 0.0) + a
-            continue
-        if lbl & tmask:
-            lo, hi, a_lo, a_hi = lbl ^ tmask, lbl, m01 * a, m11 * a
-        else:
-            lo, hi, a_lo, a_hi = lbl, lbl | tmask, m00 * a, m10 * a
-        out[lo] = get(lo, 0.0) + a_lo
-        out[hi] = get(hi, 0.0) + a_hi
-    return {lbl: a for lbl, a in out.items() if abs(a) >= PRUNE_THRESHOLD}
+def _merge(labels: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the amplitudes of equal labels and prune sums below the threshold."""
+    if not len(amps):
+        return labels, amps
+    order = np.lexsort(labels.T)
+    labels, amps = labels[order], amps[order]
+    starts = np.ones(len(amps), dtype=bool)
+    starts[1:] = (labels[1:] != labels[:-1]).any(axis=1)
+    starts = np.flatnonzero(starts)
+    # Adding 0.0 turns -0.0 parts into 0.0, so readouts never print "-0.0".
+    labels, amps = labels[starts], np.add.reduceat(amps, starts) + 0.0
+    kept = np.abs(amps) >= PRUNE_THRESHOLD
+    return labels[kept], amps[kept]
 
 
 def apply_gate(state: SparseState, gate: Gate) -> SparseState:
@@ -105,7 +153,32 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     do not depend on the order of the input terms."""
     if any(q >= state.layout.q_total for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for {state.layout.q_total} qubits")
-    return SparseState(layout=state.layout, terms=_apply_terms(gate, state.terms.items()))
+    *controls, target = gate.qubits
+    word, bit = target // WORD_BITS, np.uint64(1 << target % WORD_BITS)
+    labels, amps = state.labels, state.amps
+
+    if gate.kind in _PERMUTE:
+        labels = labels.copy()
+        labels[_all_set(labels, controls), word] ^= bit
+    elif gate.kind in _PHASE:
+        amps = np.where(_all_set(labels, gate.qubits), -amps, amps)
+    elif gate.kind in _SPLIT:
+        m00, m01, m10, m11 = _split_matrix(gate)
+        active = _all_set(labels, controls)
+        split, a = labels[active], amps[active]
+        one = split[:, word] & bit != 0
+        lo, hi = split.copy(), split.copy()
+        lo[:, word] &= ~bit
+        hi[:, word] |= bit
+        labels, amps = _merge(
+            np.concatenate((labels[~active], lo, hi)),
+            np.concatenate(
+                (amps[~active], np.where(one, m01, m00) * a, np.where(one, m11, m10) * a)
+            ),
+        )
+    else:
+        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return SparseState._from_arrays(state.layout, labels, amps)
 
 
 def run(circuit: Circuit) -> SparseState:
@@ -116,12 +189,22 @@ def run(circuit: Circuit) -> SparseState:
     return state
 
 
+def _readout_order(state: SparseState) -> np.ndarray:
+    """Indices of the terms at or above the prune threshold, sorted by their
+    qubit-0-first bitstrings."""
+    kept = np.flatnonzero(np.abs(state.amps) >= PRUNE_THRESHOLD)
+    # Reversing each byte's bits and the byte order of a word reverses its bits.
+    octets = np.ascontiguousarray(state.labels[kept], dtype="<u8").view(np.uint8)
+    rev = _BYTE_REVERSED[octets].reshape(len(kept), state.labels.shape[1], 8)[:, :, ::-1]
+    rev = np.ascontiguousarray(rev).view("<u8")[:, :, 0]
+    # lexsort's primary key is its last: reversed word 0, then word 1, ...
+    return kept[np.lexsort(rev.T[::-1])]
+
+
 def readout(state: SparseState) -> list[tuple[int, complex]]:
     """All terms sorted lexicographically by qubit-0-first bitstring."""
-    width = state.layout.q_total
-    rows = [(lbl, a) for lbl, a in state.terms.items() if abs(a) >= PRUNE_THRESHOLD]
-    rows.sort(key=lambda row: bitstring(row[0], width))
-    return rows
+    order = _readout_order(state)
+    return list(zip(_to_ints(state.labels[order]), state.amps[order].tolist()))
 
 
 def dump_readout(state: SparseState) -> str:
@@ -144,11 +227,10 @@ def sample(state: SparseState, shots: int, seed: int) -> list[int]:
     if abs(norm - 1.0) > NORM_TOLERANCE:
         raise StateNormError(f"state norm^2 = {norm!r}, expected 1")
 
-    rows = readout(state)
-    labels = [lbl for lbl, _ in rows]
-    cdf = np.cumsum([abs(a) ** 2 for _, a in rows])
+    order = _readout_order(state)
+    cdf = np.cumsum(np.abs(state.amps[order]) ** 2)
     cdf[-1] = 1.0  # guard the top bin against rounding
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
     indices = np.searchsorted(cdf, draws, side="right")
-    return [labels[i] for i in indices]
+    return _to_ints(state.labels[order[indices]])

@@ -1,32 +1,41 @@
 """Gate-by-gate differential test of the sparse engine against the dense
-numpy reference in `dense_reference.py`."""
+numpy reference in `dense_reference.py`.
+
+The reference simulates a window of at most 10 qubits. Dense qubit k is
+mapped onto qubit `window[k]` of the sparse register; every other qubit of the
+sparse register holds a fixed background bit that no gate touches.
+"""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference
 from quantum_nqueens.circuit import Gate, layout
 from quantum_nqueens.sim import SparseState, apply_gate
 
-LAYOUT = layout(2)  # 5 qubits
-NUM_QUBITS = LAYOUT.q_total
 ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
 TOLERANCE = 1e-12
 
+# Layout 2 is 5 qubits, all in one word. Layout 7 is 76 qubits over two words,
+# and qubits 58..67 straddle the boundary between them at qubit 64.
+SMALL = (layout(2), tuple(range(5)))
+WIDE = (layout(7), tuple(range(58, 68)))
+
 
 @st.composite
-def gates(draw):
+def gates(draw, num_qubits):
     kind = draw(st.sampled_from(sorted(ARITY)))
-    qubits = draw(st.permutations(range(NUM_QUBITS)))[: ARITY[kind]]
+    qubits = draw(st.permutations(range(num_qubits)))[: ARITY[kind]]
     theta = draw(st.floats(-math.pi, math.pi)) if kind in ("RY", "CRY") else None
     return Gate(kind, tuple(qubits), theta)
 
 
 @st.composite
-def sparse_states(draw):
-    labels = draw(st.sets(st.integers(0, 2**NUM_QUBITS - 1), min_size=1, max_size=12))
+def dense_states(draw, num_qubits):
+    labels = draw(st.sets(st.integers(0, 2**num_qubits - 1), min_size=1, max_size=12))
     amps = {
         lbl: complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1))) for lbl in sorted(labels)
     }
@@ -34,6 +43,33 @@ def sparse_states(draw):
     if norm < 1e-3:
         return {0: 1.0 + 0j}
     return {lbl: a / norm for lbl, a in amps.items() if a}
+
+
+def _spread(label, window):
+    """Sparse-register bits of a dense label."""
+    return sum(1 << q for k, q in enumerate(window) if label >> k & 1)
+
+
+def _gather(label, window):
+    """Dense label of a sparse-register label."""
+    return sum(1 << k for k, q in enumerate(window) if label >> q & 1)
+
+
+def check_against_dense(lay, window, background, terms, circuit):
+    """Run `circuit` (on dense qubits) through both engines, comparing the
+    states after every gate."""
+    num_qubits = len(window)
+    state = SparseState(lay, {background | _spread(lbl, window): a for lbl, a in terms.items()})
+    vec = dense_reference.to_vector(terms, num_qubits)
+    window_mask = _spread(2**num_qubits - 1, window)
+    for gate in circuit:
+        wide_gate = Gate(gate.kind, tuple(window[q] for q in gate.qubits), gate.theta)
+        state = apply_gate(state, wide_gate)
+        vec = dense_reference.apply(vec, gate, num_qubits)
+        assert {lbl & ~window_mask for lbl in state.terms} <= {background}, gate
+        sparse = {_gather(lbl, window): a for lbl, a in state.terms.items()}
+        diff = np.abs(dense_reference.to_vector(sparse, num_qubits) - vec).max()
+        assert diff <= TOLERANCE, f"{gate}: max amplitude difference {diff}"
 
 
 def test_reference_prepares_a_bell_pair():
@@ -44,12 +80,31 @@ def test_reference_prepares_a_bell_pair():
 
 
 @settings(max_examples=200, deadline=None)
-@given(terms=sparse_states(), circuit=st.lists(gates(), min_size=1, max_size=8))
+@given(terms=dense_states(5), circuit=st.lists(gates(5), min_size=1, max_size=8))
 def test_sparse_engine_matches_dense_reference(terms, circuit):
-    state = SparseState(LAYOUT, terms)
-    vec = dense_reference.to_vector(terms, NUM_QUBITS)
-    for gate in circuit:
-        state = apply_gate(state, gate)
-        vec = dense_reference.apply(vec, gate, NUM_QUBITS)
-        diff = np.abs(dense_reference.to_vector(state.terms, NUM_QUBITS) - vec).max()
-        assert diff <= TOLERANCE, f"{gate}: max amplitude difference {diff}"
+    check_against_dense(*SMALL, 0, terms, circuit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=dense_states(10),
+    circuit=st.lists(gates(10), min_size=1, max_size=8),
+    background=st.integers(0, 2**76 - 1),
+)
+def test_sparse_engine_matches_dense_reference_across_a_word_boundary(
+    terms, circuit, background
+):
+    lay, window = WIDE
+    check_against_dense(lay, window, background & ~_spread(2**10 - 1, window), terms, circuit)
+
+
+@pytest.mark.parametrize("operands", [(5, 6, 7), (7, 6, 5)])
+@pytest.mark.parametrize("kind", sorted(ARITY))
+def test_each_gate_kind_across_the_word_boundary(kind, operands):
+    # Dense qubits 5, 6, 7 are sparse qubits 63, 64, 65; the gate takes the
+    # last ARITY[kind] of them, so controls and target sit in different words.
+    lay, window = WIDE
+    terms = {0b11100000: 0.6, 0b01100000: 0.8j}
+    theta = 0.9 if kind in ("RY", "CRY") else None
+    gate = Gate(kind, operands[-ARITY[kind] :], theta)
+    check_against_dense(lay, window, 1 << 75 | 1, terms, [gate])

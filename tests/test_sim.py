@@ -225,6 +225,45 @@ class TestReadout:
         assert bitstring(0b001, 3) == "100"
 
 
+class TestMultiwordLabels:
+    # layout(7) has 76 qubits: labels span two 64-bit words.
+    LAYOUT = layout(7)
+
+    def test_labels_above_one_word_round_trip(self):
+        terms = {2**64: 0.5 + 0j, 2**75 + 2**63 + 1: 0.5j, 2**64 - 1: -0.5 + 0j, 3: 0.5 + 0j}
+        state = SparseState(self.LAYOUT, terms)
+        assert state.labels.shape == (4, 2)
+        assert state.terms == terms
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        terms=st.dictionaries(
+            st.integers(0, 2**76 - 1),
+            st.complex_numbers(max_magnitude=1, allow_nan=False),
+            max_size=20,
+        )
+    )
+    def test_terms_round_trip(self, terms):
+        assert SparseState(self.LAYOUT, terms).terms == terms
+
+    @pytest.mark.parametrize("label", [-1, 2**76])
+    def test_label_out_of_range(self, label):
+        with pytest.raises(ValueError):
+            SparseState(self.LAYOUT, {label: 1.0 + 0j})
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.sets(st.integers(0, 2**76 - 1), min_size=1, max_size=30))
+    def test_readout_sorts_by_bitstring(self, labels):
+        rows = readout(SparseState(self.LAYOUT, dict.fromkeys(labels, 0.5 + 0j)))
+        strings = [bitstring(lbl, 76) for lbl, _ in rows]
+        assert strings == sorted(bitstring(lbl, 76) for lbl in labels)
+
+    def test_sample_returns_wide_labels(self):
+        terms = {2**75: 0.6 + 0j, 2**64 + 5: 0.8 + 0j}
+        shots = sample(SparseState(self.LAYOUT, terms), 200, seed=1)
+        assert set(shots) == set(terms)
+
+
 class TestSample:
     def test_single_term_state(self):
         state = run(build_full_circuit(1))
