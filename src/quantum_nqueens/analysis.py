@@ -21,6 +21,10 @@ from .board import BoardConfig, PermutationVector
 from .circuit import RegisterLayout
 from .sim import SparseState
 
+#: Largest accepted gap between the measured success probability and the
+#: classical solution ratio.
+PROBABILITY_TOLERANCE = 1e-9
+
 
 class EncodingError(ValueError):
     """A decoded board violates the one-queen-per-row guarantee."""
@@ -113,6 +117,12 @@ class VerificationReport:
     seed: int | None = None
     rng_algorithm: str | None = None
 
+    @property
+    def probability_ok(self) -> bool:
+        """The measured success probability matches the classical ratio."""
+        expected = len(self.classical_solutions) / self.n**self.n
+        return abs(self.success_probability - expected) <= PROBABILITY_TOLERANCE
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -130,15 +140,22 @@ class VerificationReport:
 
 
 def verify_against_oracle(n: int) -> VerificationReport:
-    """Run the full pipeline and certify equivalence with the classical oracle."""
+    """Run the full pipeline and certify equivalence with the classical oracle.
+
+    The success probability is measured from the final state: the total
+    |amp|^2 of the terms whose ancillas are all 1.
+    """
     circuit = circuit_mod.build_full_circuit(n)
     state = sim_mod.run(circuit)
 
     mismatches = 0
-    for lbl, _ in sim_mod.readout(state):
+    success_probability = 0.0  # over the post-selected terms
+    for lbl, amp in sim_mod.readout(state):
         record = decode(lbl, state.layout)
         if (record.col_anc, record.diag_anc) != ancilla_truth(record.board):
             mismatches += 1
+        if all(record.col_anc) and all(record.diag_anc):
+            success_probability += abs(amp) ** 2
 
     quantum = [PermutationVector.from_board(b) for b in postselect_solutions(state)]
     classical = board_mod.solve_classical(n)
@@ -157,7 +174,7 @@ def verify_against_oracle(n: int) -> VerificationReport:
         quantum_solutions=quantum,
         classical_solutions=classical,
         equal=equal,
-        success_probability=len(classical) / n**n,
+        success_probability=success_probability,
         census_ok=census_ok,
         ancilla_mismatches=mismatches,
     )

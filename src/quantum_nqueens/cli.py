@@ -1,6 +1,7 @@
 """Command-line interface for the quantum N-Queens pipeline.
 
-Exit codes: 0 success/verified, 1 verification mismatch, 2 usage error,
+Exit codes: 0 success/verified, 1 verification mismatch (including a
+measured success probability off the classical ratio), 2 usage error,
 3 simulation size cap exceeded, 4 output file cannot be written. All
 randomness flows from --seed.
 """
@@ -64,7 +65,7 @@ def cmd_solve(args: argparse.Namespace, out) -> int:
         else:
             print("no solutions", file=out)
         print(f"success probability: {report.success_probability!r}", file=out)
-    return EXIT_OK if report.equal else EXIT_MISMATCH
+    return EXIT_OK if report.equal and report.probability_ok else EXIT_MISMATCH
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
@@ -80,7 +81,12 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         print(f"success probability: {report.success_probability!r}", file=out)
         print(f"census ok: {report.census_ok}", file=out)
         print(f"ancilla mismatches: {report.ancilla_mismatches}", file=out)
-    ok = report.equal and report.census_ok and report.ancilla_mismatches == 0
+    ok = (
+        report.equal
+        and report.census_ok
+        and report.ancilla_mismatches == 0
+        and report.probability_ok
+    )
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

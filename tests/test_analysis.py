@@ -4,6 +4,7 @@ import pytest
 
 from quantum_nqueens import sim
 from quantum_nqueens.analysis import (
+    PROBABILITY_TOLERANCE,
     EncodingError,
     OutcomeRecord,
     ancilla_truth,
@@ -95,10 +96,29 @@ class TestVerifyAgainstOracle:
         assert report.census_ok
         assert report.ancilla_mismatches == 0
         assert len(report.classical_solutions) == count
-        assert report.success_probability == count / n**n
+        assert abs(report.success_probability - count / n**n) <= PROBABILITY_TOLERANCE
+        assert report.probability_ok
 
     def test_n4_probability(self):
-        assert verify_against_oracle(4).success_probability == 2 / 256
+        assert verify_against_oracle(4).success_probability == pytest.approx(2 / 256, abs=1e-15)
+
+    def test_probability_is_measured_from_the_state(self, monkeypatch):
+        # Doubling one solution amplitude leaves the solution set intact but
+        # adds 3/256 to the post-selected probability.
+        real_run = sim.run
+
+        def run_with_boost(circuit):
+            state = real_run(circuit)
+            record = OutcomeRecord(perm_board(4, [1, 3, 0, 2]), (1,) * 3, (1,) * 6)
+            terms = dict(state.terms)
+            terms[encode(record, state.layout)] *= 2
+            return sim.SparseState(state.layout, terms)
+
+        monkeypatch.setattr(sim, "run", run_with_boost)
+        report = verify_against_oracle(4)
+        assert report.equal and report.census_ok and report.ancilla_mismatches == 0
+        assert report.success_probability == pytest.approx(5 / 256, abs=1e-15)
+        assert not report.probability_ok
 
     def test_json_fields(self):
         obj = json.loads(verify_against_oracle(4).to_json())

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from quantum_nqueens import cli
+from quantum_nqueens import cli, sim
 from quantum_nqueens.qasm import parse_qasm_subset
 
 
@@ -18,7 +18,7 @@ class TestSolve:
         code, text = invoke(["solve", "4"])
         assert code == 0
         assert text.count("solution ") == 2
-        assert "success probability: 0.0078125" in text
+        assert "success probability: 0.007812499999999991" in text
 
     def test_n2_no_solutions(self):
         code, text = invoke(["solve", "2"])
@@ -57,6 +57,27 @@ class TestVerify:
         code, text = invoke(["verify", "3", "--format", "json"])
         assert code == 0
         assert json.loads(text)["equal"] is True
+
+
+class TestSuccessProbability:
+    @pytest.fixture
+    def scaled_run(self, monkeypatch):
+        # Every amplitude 1% too large: the solution set is intact, but the
+        # measured success probability is 2% above the classical ratio.
+        real_run = sim.run
+
+        def run(circuit):
+            state = real_run(circuit)
+            terms = {lbl: 1.01 * a for lbl, a in state.terms.items()}
+            return sim.SparseState(state.layout, terms)
+
+        monkeypatch.setattr(sim, "run", run)
+
+    @pytest.mark.parametrize("mode", ["verify", "solve"])
+    def test_mismatch_exits_1(self, mode, scaled_run):
+        code, text = invoke([mode, "4"])
+        assert code == 1
+        assert "success probability: 0.00796953" in text
 
 
 class TestCounts:
