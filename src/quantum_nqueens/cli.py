@@ -24,7 +24,8 @@ EXIT_IO = 4
 DEFAULT_MAX_N = 6
 FORMAT_ENV_VAR = "NQSOLVE_FORMAT"
 CLOSED_FORM_CAP = 10**6
-BUILT_CENSUS_CAP = 10**3
+# Circuits whose closed-form gate total exceeds this are never built.
+BUILD_GATE_CAP = 10**6
 
 
 class ResourceCapError(RuntimeError):
@@ -38,6 +39,11 @@ def _check_cap(n: int, max_n: int) -> None:
             f"n={n} exceeds the simulation cap {max_n} "
             f"(up to {transient} transient state terms); raise with --max-n"
         )
+
+
+def _predicted_gates(n: int) -> int:
+    """Gate count of the n-circuit from the closed forms, without building it."""
+    return sum(circuit.closed_form_census(n).counts.values())
 
 
 def _board_ascii(b: board.BoardConfig) -> str:
@@ -96,7 +102,7 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
         raise ResourceCapError(f"n={n} exceeds the counts cap {CLOSED_FORM_CAP}")
     predicted = circuit.closed_form_census(n)
     built = [None] * 4
-    if n <= BUILT_CENSUS_CAP:
+    if _predicted_gates(n) <= BUILD_GATE_CAP:
         built_circuit = circuit.build_full_circuit(n)
         census = circuit.gate_census(built_circuit)
         built = [
@@ -168,6 +174,11 @@ def cmd_oracle(args: argparse.Namespace, out) -> int:
 
 
 def cmd_export_qasm(args: argparse.Namespace, out) -> int:
+    gates = _predicted_gates(args.n)
+    if gates > BUILD_GATE_CAP:
+        raise ResourceCapError(
+            f"n={args.n} predicts {gates} gates, over the export cap {BUILD_GATE_CAP}"
+        )
     doc = qasm.export_qasm(circuit.build_full_circuit(args.n))
     if args.out:
         try:

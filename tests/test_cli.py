@@ -13,6 +13,16 @@ def invoke(argv):
     return code, out.getvalue()
 
 
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail the test if the command builds a circuit."""
+
+    def refuse(n):
+        raise AssertionError(f"built the n={n} circuit")
+
+    monkeypatch.setattr(cli.circuit, "build_full_circuit", refuse)
+
+
 class TestSolve:
     def test_n4_two_solutions(self):
         code, text = invoke(["solve", "4"])
@@ -111,6 +121,20 @@ class TestCounts:
         obj = json.loads(text)
         assert obj["diagonal_toffolis"]["built"] is None
 
+    def test_over_the_gate_cap_is_not_built(self, no_build):
+        # n=1000 predicts 669,166,498 gates.
+        code, text = invoke(["counts", "1000"])
+        assert code == 0
+        rows = text.splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.split()[-2:] == ["-", "-"] for row in rows)
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_cap_is_on_the_predicted_gate_total(self, monkeypatch, over):
+        monkeypatch.setattr(cli, "BUILD_GATE_CAP", cli._predicted_gates(4) - over)
+        _, text = invoke(["counts", "4", "--format", "json"])
+        assert json.loads(text)["qubits"]["built"] == (None if over else 25)
+
 
 class TestSample:
     def test_deterministic(self):
@@ -165,6 +189,12 @@ class TestExportQasm:
         assert code == cli.EXIT_IO == 4
         assert text == ""
         assert "cannot write" in capsys.readouterr().err
+
+    def test_over_the_gate_cap_exits_3(self, no_build, capsys):
+        code, text = invoke(["export-qasm", "1000"])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        assert "669166498 gates" in capsys.readouterr().err
 
 
 class TestUsage:
