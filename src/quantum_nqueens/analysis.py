@@ -149,7 +149,7 @@ def verify_against_oracle(n: int) -> VerificationReport:
     state = sim_mod.run(circuit)
 
     mismatches = 0
-    success_probability = 0.0  # over the post-selected terms
+    success_probability = 0.0
     for lbl, amp in sim_mod.readout(state):
         record = decode(lbl, state.layout)
         if (record.col_anc, record.diag_anc) != ancilla_truth(record.board):
