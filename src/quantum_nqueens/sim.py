@@ -135,8 +135,6 @@ def _all_set(labels: np.ndarray, qubits) -> np.ndarray:
 
 def _merge(labels: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum the amplitudes of equal labels and prune sums below the threshold."""
-    if not len(amps):
-        return labels, amps
     order = np.lexsort(labels.T)
     labels, amps = labels[order], amps[order]
     starts = np.ones(len(amps), dtype=bool)
