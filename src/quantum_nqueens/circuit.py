@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .board import diagonal_pairs
 
-GATE_KINDS = {"X", "H", "RY", "CX", "CRY", "CZ", "CCX"}
 _ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
+GATE_KINDS = set(_ARITY)
 _PARAMETRIC = {"RY", "CRY"}
 
 
@@ -31,11 +31,12 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
+        arity = _ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} qubits")
-        if len(set(self.qubits)) != len(self.qubits):
+        if len(self.qubits) != arity:
+            raise ValueError(f"{self.kind} takes {arity} qubits")
+        if arity > 1 and len(set(self.qubits)) != arity:
             raise ValueError("gate operands must be distinct")
         if self.kind in _PARAMETRIC:
             if self.theta is None or not math.isfinite(self.theta):
@@ -89,9 +90,10 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        q_total = self.layout.q_total
         for gate in self.gates:
-            if any(q >= self.layout.q_total for q in gate.qubits):
-                raise ValueError(f"gate {gate} exceeds layout of {self.layout.q_total} qubits")
+            if max(gate.qubits) >= q_total:
+                raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
 
     def dump(self) -> str:
         """One gate per line: `KIND q[a] q[b] q[c] (theta=...)`."""
@@ -167,11 +169,15 @@ def build_diagonal_checks(n: int) -> list[Gate]:
     """
     lay = layout(n)
     gates = [Gate("X", (lay.diag_anc_qubit(k),)) for k in range(1, lay.n_diag_anc + 1)]
+    # Look each qubit up once, not once per Toffoli.
+    system = [[lay.system_qubit(r, c) for c in range(n)] for r in range(n)]
+    anc = {
+        (i, j): lay.diag_anc_qubit(ancilla_index(i + 1, j + 1, n))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     for (i, x), (j, y) in diagonal_pairs(n):
-        k = ancilla_index(i + 1, j + 1, n)
-        gates.append(
-            Gate("CCX", (lay.system_qubit(i, x), lay.system_qubit(j, y), lay.diag_anc_qubit(k)))
-        )
+        gates.append(Gate("CCX", (system[i][x], system[j][y], anc[i, j])))
     return gates
 
 

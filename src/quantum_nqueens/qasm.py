@@ -72,6 +72,7 @@ def export_qasm(circuit: Circuit) -> QasmDocument:
 _GATE_RE = re.compile(
     r"^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[\d+\](?:\s*,\s*q\[\d+\])*)\s*;$"
 )
+_OPERAND_RE = re.compile(r"q\[(\d+)\]")
 _QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
 _CREG_RE = re.compile(r"^creg\s+\w+\[(\d+)\]\s*;$")
 _MEASURE_RE = re.compile(r"^measure\s+q\[\d+\]\s*->\s*\w+\[\d+\]\s*;$")
@@ -99,26 +100,31 @@ def parse_qasm_subset(text: str) -> Circuit:
     lay: RegisterLayout | None = None
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
+        line = (raw.split("//")[0] if "//" in raw else raw).strip()
         if not line:
             continue
-        if line == "OPENQASM 2.0;" or line.startswith("include"):
-            continue
-        m = _QREG_RE.match(line)
-        if m:
-            lay = _layout_for_qubits(int(m.group(1)))
-            continue
-        if _CREG_RE.match(line) or _MEASURE_RE.match(line):
-            continue
+        # Gate statements are most of an export, so they are matched first; a
+        # line naming a supported gate cannot be any other statement.
         m = _GATE_RE.match(line)
-        if not m:
-            raise QasmParseError(lineno, f"unrecognized statement: {line!r}")
-        name = m.group("name")
-        if name not in _PARSE_KINDS:
-            raise QasmParseError(lineno, f"unknown gate {name!r}")
+        kind = _PARSE_KINDS.get(m.group("name")) if m else None
+        if kind is None:
+            if line == "OPENQASM 2.0;" or line.startswith("include"):
+                continue
+            m_qreg = _QREG_RE.match(line)
+            if m_qreg:
+                try:
+                    lay = _layout_for_qubits(int(m_qreg.group(1)))
+                except ValueError as exc:
+                    raise QasmParseError(lineno, str(exc)) from None
+                continue
+            if _CREG_RE.match(line) or _MEASURE_RE.match(line):
+                continue
+            if not m:
+                raise QasmParseError(lineno, f"unrecognized statement: {line!r}")
+            raise QasmParseError(lineno, f"unknown gate {m.group('name')!r}")
         if lay is None:
             raise QasmParseError(lineno, "gate statement before qreg declaration")
-        qubits = tuple(int(q) for q in re.findall(r"q\[(\d+)\]", m.group("operands")))
+        qubits = tuple(map(int, _OPERAND_RE.findall(m.group("operands"))))
         if max(qubits) >= lay.q_total:
             raise QasmParseError(lineno, f"qubit index out of range for qreg q[{lay.q_total}]")
         theta = None
@@ -128,7 +134,7 @@ def parse_qasm_subset(text: str) -> Circuit:
             except ValueError:
                 raise QasmParseError(lineno, f"bad angle {m.group('arg')!r}") from None
         try:
-            gates.append(Gate(_PARSE_KINDS[name], qubits, theta))
+            gates.append(Gate(kind, qubits, theta))
         except ValueError as exc:
             raise QasmParseError(lineno, str(exc)) from None
     if lay is None:

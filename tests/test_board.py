@@ -139,6 +139,17 @@ class TestDiagonalPairs:
         keys = [(i, j, x, y) for (i, x), (j, y) in pairs]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_brute_force_definition(self, n):
+        expected = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                for x in range(n):
+                    for y in range(n):
+                        if abs(x - y) == j - i:
+                            expected.append(((i, x), (j, y)))
+        assert diagonal_pairs(n) == expected
+
     def test_all_pairs_are_diagonal(self):
         for (i, x), (j, y) in diagonal_pairs(6):
             assert is_diagonal(i, x, j, y)

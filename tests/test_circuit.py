@@ -74,10 +74,40 @@ class TestGate:
         with pytest.raises(ValueError):
             Gate("X", (0,), 1.0)
 
+    @pytest.mark.parametrize(
+        "kind, qubits, theta, message",
+        [
+            ("SWAP", (0, 1), None, "unknown gate kind 'SWAP'"),
+            ("X", (0, 1), None, "X takes 1 qubits"),
+            ("CCX", (0, 1), None, "CCX takes 3 qubits"),
+            ("CX", (2, 2), None, "gate operands must be distinct"),
+            ("CCX", (0, 1, 0), None, "gate operands must be distinct"),
+            ("CCX", (4, 1, 1), None, "gate operands must be distinct"),
+            ("CRY", (0, 1), None, "CRY requires a finite angle"),
+            ("RY", (0,), math.inf, "RY requires a finite angle"),
+            ("RY", (0,), math.nan, "RY requires a finite angle"),
+            ("H", (0,), 0.5, "H takes no angle"),
+        ],
+    )
+    def test_every_check_raises(self, kind, qubits, theta, message):
+        with pytest.raises(ValueError) as err:
+            Gate(kind, qubits, theta)
+        assert str(err.value) == message
+
     def test_inverse(self):
         g = Gate("CRY", (0, 1), 0.7)
         assert g.inverse().theta == -0.7
         assert Gate("H", (0,)).inverse() == Gate("H", (0,))
+
+
+class TestCircuit:
+    def test_operand_beyond_the_layout_raises(self):
+        lay = layout(2)
+        assert lay.q_total == 6
+        Circuit(lay, (Gate("CCX", (0, 1, 5)),))
+        with pytest.raises(ValueError) as err:
+            Circuit(lay, (Gate("X", (0,)), Gate("CCX", (0, 6, 1))))
+        assert "exceeds layout of 6 qubits" in str(err.value)
 
 
 def block_state(n, row):
@@ -201,6 +231,24 @@ class TestDiagonalChecks:
             i, j = q1 // n, q2 // n
             assert i < j < n
             assert target == lay.diag_anc_qubit(ancilla_index(i + 1, j + 1, n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_toffoli_operands_from_the_layout(self, n):
+        lay = layout(n)
+        expected = [
+            (
+                lay.system_qubit(i, x),
+                lay.system_qubit(j, y),
+                lay.diag_anc_qubit(ancilla_index(i + 1, j + 1, n)),
+            )
+            for i in range(n)
+            for j in range(i + 1, n)
+            for x in range(n)
+            for y in range(n)
+            if abs(x - y) == j - i
+        ]
+        ccx = [g.qubits for g in build_diagonal_checks(n) if g.kind == "CCX"]
+        assert ccx == expected
 
     def test_matches_diagonal_pair_enumeration(self):
         n = 5

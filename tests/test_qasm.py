@@ -90,6 +90,110 @@ class TestParse:
         with pytest.raises(QasmParseError):
             parse_qasm_subset("OPENQASM 2.0;\nx q[0];\n")
 
+    # One case per raise site of parse_qasm_subset, plus the Gate checks it
+    # reports: (program, line number, full message after "line N: ").
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nif (c==1) x q[0];\n",
+                3,
+                "unrecognized statement: 'if (c==1) x q[0];'",
+                id="unrecognized-statement",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nbarrier q[0]; // sync\n",
+                3,
+                "unknown gate 'barrier'",
+                id="unknown-gate",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nx q[0];\nqreg q[1];\n",
+                2,
+                "gate statement before qreg declaration",
+                id="gate-before-qreg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[6];\n\ncx q[0],q[6];\n",
+                4,
+                "qubit index out of range for qreg q[6]",
+                id="operand-out-of-range",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nry(abc) q[0];\n",
+                3,
+                "bad angle 'abc'",
+                id="bad-angle",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[6];\ncx q[0],q[0];\n",
+                3,
+                "gate operands must be distinct",
+                id="repeated-operand",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[6];\ncx q[1];\n",
+                3,
+                "CX takes 2 qubits",
+                id="wrong-arity",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nry q[0];\n",
+                3,
+                "RY requires a finite angle",
+                id="missing-angle",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nry(inf) q[0];\n",
+                3,
+                "RY requires a finite angle",
+                id="infinite-angle",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nx(0.5) q[0];\n",
+                3,
+                "X takes no angle",
+                id="spurious-angle",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[3];\n",
+                2,
+                "3 qubits does not match any board size",
+                id="bad-qreg-width",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[0];\n",
+                2,
+                "0 qubits does not match any board size",
+                id="empty-qreg",
+            ),
+            pytest.param(
+                'OPENQASM 2.0;\ninclude "qelib1.inc";\ncreg c[1];\n',
+                1,
+                "missing qreg declaration",
+                id="missing-qreg",
+            ),
+        ],
+    )
+    def test_error_names_line_and_message(self, text, lineno, message):
+        with pytest.raises(QasmParseError) as err:
+            parse_qasm_subset(text)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"line {lineno}: {message}"
+
+    def test_statements_outside_the_gate_set_are_still_recognized(self):
+        circuit = parse_qasm_subset(
+            "OPENQASM 2.0;\n"
+            'include "qelib1.inc";\n'
+            "qreg q[6];  // a comment\n"
+            "creg q[6];\n"
+            "measure q[0] -> c[0];\n"
+            "x q[1];\n"
+            "ccx q[0], q[1] ,q[2] ;\n"
+        )
+        assert circuit.layout == layout(2)
+        assert circuit.gates == (Gate("X", (1,)), Gate("CCX", (0, 1, 2)))
+
     def test_parses_own_export(self):
         circuit = build_full_circuit(2)
         parsed = parse_qasm_subset(export_qasm(circuit).text)
@@ -100,6 +204,25 @@ class TestParse:
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("n", [*range(1, 13), 32])
+    def test_parse_export_gives_the_built_gates(self, n):
+        expected = []
+        for g in build_full_circuit(n).gates:
+            if g.kind == "CRY":
+                ctrl, tgt = g.qubits
+                # The export prints theta/2 with repr, which float() reads back exactly.
+                expected += [
+                    ("RY", (tgt,), g.theta / 2.0),
+                    ("CX", (ctrl, tgt), None),
+                    ("RY", (tgt,), -g.theta / 2.0),
+                    ("CX", (ctrl, tgt), None),
+                ]
+            else:
+                expected.append((g.kind, g.qubits, g.theta))
+        parsed = parse_qasm_subset(export_qasm(build_full_circuit(n)).text)
+        assert parsed.layout == layout(n)
+        assert [(g.kind, g.qubits, g.theta) for g in parsed.gates] == expected
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_parse_export_simulates_to_same_state(self, n):
         circuit = build_full_circuit(n)
