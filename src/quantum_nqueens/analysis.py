@@ -18,16 +18,13 @@ from . import board as board_mod
 from . import circuit as circuit_mod
 from . import sim as sim_mod
 from .board import BoardConfig, PermutationVector
+from .board import EncodingError  # noqa: F401  re-exported: decode raises it
 from .circuit import RegisterLayout
 from .sim import SparseState
 
 #: Largest accepted gap between the measured success probability and the
 #: classical solution ratio.
 PROBABILITY_TOLERANCE = 1e-9
-
-
-class EncodingError(ValueError):
-    """A decoded board violates the one-queen-per-row guarantee."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,7 @@ def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
         tuple(label >> layout.system_qubit(r, c) & 1 for c in range(n)) for r in range(n)
     )
     board = BoardConfig(n, cells)
-    for r in range(n):
-        if board.row_sum(r) != 1:
-            raise EncodingError(f"row {r} holds {board.row_sum(r)} queens, expected 1")
+    board_mod.queen_columns(board)
     col_anc = tuple(label >> layout.col_anc_qubit(c) & 1 for c in range(n - 1))
     diag_anc = tuple(
         label >> layout.diag_anc_qubit(k) & 1 for k in range(1, layout.n_diag_anc + 1)
@@ -79,12 +74,8 @@ def ancilla_truth(board: BoardConfig) -> tuple[tuple[int, ...], tuple[int, ...]]
     diagonal.
     """
     n = board.n
-    cols = []
-    for r in range(n):
-        if board.row_sum(r) != 1:
-            raise EncodingError(f"row {r} holds {board.row_sum(r)} queens, expected 1")
-        cols.append(board.cells[r].index(1))
-    col_bits = tuple(board.col_sum(c) % 2 for c in range(n - 1))
+    cols = board_mod.queen_columns(board)
+    col_bits = tuple(cols.count(c) % 2 for c in range(n - 1))
     diag_bits = [1] * (n * (n - 1) // 2)
     for i in range(n):
         for j in range(i + 1, n):

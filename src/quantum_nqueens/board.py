@@ -28,25 +28,24 @@ class BoardConfig:
         if any(cell not in (0, 1) for row in self.cells for cell in row):
             raise ValueError("cells must contain only 0 or 1")
 
-    @classmethod
-    def from_text(cls, text: str) -> "BoardConfig":
-        """Parse the n-lines-of-n-characters '0'/'1' serialization."""
-        lines = [line for line in text.strip().splitlines()]
-        cells = tuple(tuple(int(ch) for ch in line.strip()) for line in lines)
-        return cls(n=len(lines), cells=cells)
-
-    def to_text(self) -> str:
-        return "\n".join("".join(str(c) for c in row) for row in self.cells)
-
     def row_sum(self, r: int) -> int:
         return sum(self.cells[r])
 
     def col_sum(self, c: int) -> int:
         return sum(self.cells[r][c] for r in range(self.n))
 
-    def rotate_180(self) -> "BoardConfig":
-        cells = tuple(tuple(reversed(row)) for row in reversed(self.cells))
-        return BoardConfig(self.n, cells)
+
+class EncodingError(ValueError):
+    """A board violates the one-queen-per-row guarantee."""
+
+
+def queen_columns(board: BoardConfig) -> tuple[int, ...]:
+    """The column of each row's queen; EncodingError unless each row holds one."""
+    for r, row in enumerate(board.cells):
+        k = sum(row)
+        if k != 1:
+            raise EncodingError(f"row {r} holds {k} queens, expected 1")
+    return tuple(row.index(1) for row in board.cells)
 
 
 @dataclass(frozen=True)
@@ -70,20 +69,10 @@ class PermutationVector:
 
     @classmethod
     def from_board(cls, board: BoardConfig) -> "PermutationVector":
-        cols = []
-        for r, row in enumerate(board.cells):
-            if sum(row) != 1:
-                raise ValueError(f"row {r} does not hold exactly one queen")
-            cols.append(row.index(1))
-        return cls(board.n, tuple(cols))
+        return cls(board.n, queen_columns(board))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "cols": list(self.cols)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PermutationVector":
-        obj = json.loads(text)
-        return cls(n=obj["n"], cols=tuple(obj["cols"]))
 
 
 def is_diagonal(i: int, x: int, j: int, y: int) -> bool:

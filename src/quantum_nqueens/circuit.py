@@ -95,16 +95,6 @@ class Circuit:
             if max(gate.qubits) >= q_total:
                 raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
 
-    def dump(self) -> str:
-        """One gate per line: `KIND q[a] q[b] q[c] (theta=...)`."""
-        lines = []
-        for g in self.gates:
-            parts = [g.kind] + [f"q[{q}]" for q in g.qubits]
-            if g.theta is not None:
-                parts.append(f"(theta={g.theta!r})")
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
-
 
 def layout(n: int) -> RegisterLayout:
     if n < 1:

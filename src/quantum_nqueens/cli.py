@@ -39,6 +39,8 @@ def _check_cap(n: int, max_n: int) -> None:
             f"n={n} exceeds the simulation cap {max_n} "
             f"(up to {transient} transient state terms); raise with --max-n"
         )
+    if max_n > DEFAULT_MAX_N:
+        print(f"warning: n up to {max_n} may need several GB of memory", file=sys.stderr)
 
 
 def _predicted_gates(n: int) -> int:
@@ -54,11 +56,6 @@ def _board_ascii(b: board.BoardConfig) -> str:
 
 def cmd_solve(args: argparse.Namespace, out) -> int:
     _check_cap(args.n, args.max_n)
-    if args.max_n > DEFAULT_MAX_N:
-        print(
-            f"warning: n up to {args.max_n} may need several GB of memory",
-            file=sys.stderr,
-        )
     report = analysis.verify_against_oracle(args.n)
     if args.format == "json":
         print(report.to_json(), file=out)
@@ -119,14 +116,12 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
     ]
     names = ["qubits", "column-check gates", "diagonal Toffolis", "W-prep gates"]
     rows = list(zip(names, closed_forms, built))
-    mismatch = False
+    mismatch = any(b is not None and b != closed for _, closed, b in rows)
     if args.format == "json":
         payload = {"n": n}
         for name, closed, built_val in rows:
             key = name.replace(" ", "_").replace("-", "_").lower()
             payload[key] = {"closed_form": closed, "built": built_val}
-            if built_val is not None and built_val != closed:
-                mismatch = True
         print(json.dumps(payload), file=out)
     else:
         print(f"{'quantity':<20} {'closed form':>12} {'built':>12} {'status':>10}", file=out)
@@ -137,7 +132,6 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
                 status, built_str = "MATCH", str(built_val)
             else:
                 status, built_str = "MISMATCH", str(built_val)
-                mismatch = True
             print(f"{name:<20} {closed:>12} {built_str:>12} {status:>10}", file=out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -193,10 +187,6 @@ def cmd_export_qasm(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _add_n_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("n", type=int, help="board size (>= 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nqsolve",
@@ -205,8 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     default_format = os.environ.get(FORMAT_ENV_VAR, "text")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p: argparse.ArgumentParser, simulated: bool = False) -> None:
-        _add_n_argument(p)
+    def common(name: str, command, summary: str, simulated: bool = False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(command=command)
+        p.add_argument("n", type=int, help="board size (>= 1)")
         p.add_argument("--format", choices=("text", "json"), default=default_format)
         if simulated:
             p.add_argument(
@@ -215,29 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
                 default=DEFAULT_MAX_N,
                 help=f"simulation size cap (default {DEFAULT_MAX_N})",
             )
+        return p
 
-    common(sub.add_parser("solve", help="simulate, post-select, and print solutions"), True)
-    common(sub.add_parser("verify", help="certify against the classical oracle"), True)
-    common(sub.add_parser("counts", help="gate/qubit census vs closed forms"))
-    p_sample = sub.add_parser("sample", help="seeded measurement sampling")
-    common(p_sample, True)
+    common("solve", cmd_solve, "simulate, post-select, and print solutions", True)
+    common("verify", cmd_verify, "certify against the classical oracle", True)
+    common("counts", cmd_counts, "gate/qubit census vs closed forms")
+    p_sample = common("sample", cmd_sample, "seeded measurement sampling", True)
     p_sample.add_argument("--shots", type=int, default=310)
     p_sample.add_argument("--seed", type=int, default=0)
-    common(sub.add_parser("oracle", help="classical backtracking solutions"))
-    p_export = sub.add_parser("export-qasm", help="emit OpenQASM 2.0")
-    common(p_export)
+    common("oracle", cmd_oracle, "classical backtracking solutions")
+    p_export = common("export-qasm", cmd_export_qasm, "emit OpenQASM 2.0")
     p_export.add_argument("-o", "--out", help="output path (default stdout)")
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "counts": cmd_counts,
-    "sample": cmd_sample,
-    "oracle": cmd_oracle,
-    "export-qasm": cmd_export_qasm,
-}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -249,7 +230,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.mode == "sample" and args.shots < 1:
         parser.error(f"--shots must be >= 1, got {args.shots}")
     try:
-        return _COMMANDS[args.mode](args, out)
+        return args.command(args, out)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

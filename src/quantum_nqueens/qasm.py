@@ -8,6 +8,7 @@ unitarily equal to the controlled rotation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -81,10 +82,13 @@ _PARSE_KINDS = {"x": "X", "h": "H", "ry": "RY", "cx": "CX", "cz": "CZ", "ccx": "
 
 
 def _layout_for_qubits(q_total: int) -> RegisterLayout:
-    """Recover the board size from the register width."""
-    n = 1
-    while layout(n).q_total < q_total:
-        n += 1
+    """Recover the board size from the register width in O(1).
+
+    The width of an n-board is q = (3n^2 + n - 2)/2, so 24q + 25 = (6n + 1)^2
+    and n = (isqrt(24q + 25) - 1) // 6; that n is exact for every real board
+    width, and any other width fails the comparison with layout(n).
+    """
+    n = max(1, (math.isqrt(24 * q_total + 25) - 1) // 6)
     lay = layout(n)
     if lay.q_total != q_total:
         raise ValueError(f"{q_total} qubits does not match any board size")
@@ -112,6 +116,8 @@ def parse_qasm_subset(text: str) -> Circuit:
                 continue
             m_qreg = _QREG_RE.match(line)
             if m_qreg:
+                if lay is not None:
+                    raise QasmParseError(lineno, "second qreg declaration")
                 try:
                     lay = _layout_for_qubits(int(m_qreg.group(1)))
                 except ValueError as exc:

@@ -205,14 +205,6 @@ def readout(state: SparseState) -> list[tuple[int, complex]]:
     return list(zip(_to_ints(state.labels[order]), state.amps[order].tolist()))
 
 
-def dump_readout(state: SparseState) -> str:
-    """`<bitstring> <re> <im>` per line, in canonical readout order."""
-    width = state.layout.q_total
-    return "\n".join(
-        f"{bitstring(lbl, width)} {a.real!r} {a.imag!r}" for lbl, a in readout(state)
-    )
-
-
 def sample(state: SparseState, shots: int, seed: int) -> list[int]:
     """Draw basis labels i.i.d. with probability |amp|^2.
 

@@ -33,6 +33,13 @@ class TestDecode:
         with pytest.raises(EncodingError):
             decode(0, layout(1))
 
+    def test_rejects_multi_queen_row(self):
+        two_in_row_0 = BoardConfig(2, ((1, 1), (0, 1)))
+        label = encode(OutcomeRecord(two_in_row_0, (1,), (1,)), layout(2))
+        with pytest.raises(EncodingError) as err:
+            decode(label, layout(2))
+        assert str(err.value) == "row 0 holds 2 queens, expected 1"
+
     def test_register_split(self):
         lay = layout(4)
         board = perm_board(4, (0, 1, 2, 3))
@@ -67,8 +74,9 @@ class TestAncillaTruth:
         assert col[0] == 0
 
     def test_rejects_multi_queen_row(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(EncodingError) as err:
             ancilla_truth(BoardConfig(2, ((1, 1), (0, 0))))
+        assert str(err.value) == "row 0 holds 2 queens, expected 1"
 
 
 class TestPostselect:

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from quantum_nqueens.board import (
     BoardConfig,
+    EncodingError,
     PermutationVector,
     diagonal_pairs,
     is_diagonal,
     is_valid_solution,
+    queen_columns,
     solve_classical,
     verify_even_parity_proposition,
 )
@@ -109,10 +111,7 @@ class TestSolveClassical:
     def test_closed_under_180_rotation(self, n):
         sols = {s.cols for s in solve_classical(n)}
         for cols in sols:
-            rotated = PermutationVector.from_board(
-                PermutationVector(n, cols).to_board().rotate_180()
-            )
-            assert rotated.cols in sols
+            assert tuple(n - 1 - c for c in reversed(cols)) in sols
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -169,21 +168,36 @@ class TestEvenParityProposition:
 
 
 class TestBoardSerialization:
-    def test_text_round_trip(self):
-        b = PermutationVector(4, (1, 3, 0, 2)).to_board()
-        assert BoardConfig.from_text(b.to_text()) == b
-
-    def test_json_round_trip(self):
-        p = PermutationVector(4, (1, 3, 0, 2))
-        assert PermutationVector.from_json(p.to_json()) == p
-
     def test_board_permutation_round_trip(self):
         p = PermutationVector(5, (0, 2, 4, 1, 3))
         assert PermutationVector.from_board(p.to_board()) == p
 
     def test_from_board_rejects_multi_queen_row(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             PermutationVector.from_board(BoardConfig(2, ((1, 1), (0, 0))))
+        assert isinstance(err.value, EncodingError)
+        assert str(err.value) == "row 0 holds 2 queens, expected 1"
+
+
+class TestQueenColumns:
+    def test_one_queen_per_row(self):
+        assert queen_columns(PermutationVector(4, (1, 3, 0, 2)).to_board()) == (1, 3, 0, 2)
+
+    def test_shared_column_is_allowed(self):
+        assert queen_columns(BoardConfig(2, ((0, 1), (0, 1)))) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (((0, 1), (1, 1)), "row 1 holds 2 queens, expected 1"),
+            (((0, 0), (1, 0)), "row 0 holds 0 queens, expected 1"),
+            (((1, 1, 1), (0, 0, 0), (1, 0, 0)), "row 0 holds 3 queens, expected 1"),
+        ],
+    )
+    def test_names_the_first_bad_row(self, cells, message):
+        with pytest.raises(EncodingError) as err:
+            queen_columns(BoardConfig(len(cells), cells))
+        assert str(err.value) == message
 
 
 @given(

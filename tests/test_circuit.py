@@ -273,13 +273,6 @@ class TestFullCircuit:
     def test_n4_qubits(self):
         assert build_full_circuit(4).layout.q_total == 25
 
-    def test_dump_format(self):
-        c = build_full_circuit(2)
-        lines = c.dump().splitlines()
-        assert lines[0] == "X q[0]"
-        assert lines[1].startswith("CRY q[0] q[1] (theta=")
-        assert len(lines) == len(c.gates)
-
 
 class TestCensus:
     @pytest.mark.parametrize("n", range(1, 13))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from quantum_nqueens import cli, sim
+from quantum_nqueens import circuit, cli, sim
 from quantum_nqueens.qasm import parse_qasm_subset
 
 
@@ -129,11 +129,52 @@ class TestCounts:
         assert len(rows) == 4
         assert all(row.split()[-2:] == ["-", "-"] for row in rows)
 
+    @pytest.fixture
+    def padded_w_prep(self, monkeypatch):
+        """Append one X to every W-prep row, so only the W-prep count disagrees."""
+        build = circuit.build_w_prep
+
+        def padded(n, row):
+            return build(n, row) + [circuit.Gate("X", (row * n,))]
+
+        monkeypatch.setattr(circuit, "build_w_prep", padded)
+
+    def test_mismatch_exits_1_in_text(self, padded_w_prep):
+        code, text = invoke(["counts", "4"])
+        assert code == cli.EXIT_MISMATCH
+        status = {row[:20].strip(): row.split()[-1] for row in text.splitlines()[1:]}
+        assert status == {
+            "qubits": "MATCH",
+            "column-check gates": "MATCH",
+            "diagonal Toffolis": "MATCH",
+            "W-prep gates": "MISMATCH",
+        }
+
+    def test_mismatch_exits_1_in_json(self, padded_w_prep):
+        code, text = invoke(["counts", "4", "--format", "json"])
+        assert code == cli.EXIT_MISMATCH
+        obj = json.loads(text)
+        assert obj["w_prep_gates"] == {"closed_form": 28, "built": 32}
+        assert obj["qubits"] == {"closed_form": 25, "built": 25}
+
     @pytest.mark.parametrize("over", [0, 1])
     def test_cap_is_on_the_predicted_gate_total(self, monkeypatch, over):
         monkeypatch.setattr(cli, "BUILD_GATE_CAP", cli._predicted_gates(4) - over)
         _, text = invoke(["counts", "4", "--format", "json"])
         assert json.loads(text)["qubits"]["built"] == (None if over else 25)
+
+
+class TestRaisedCap:
+    @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
+    def test_warns_on_stderr_only(self, mode, capsys):
+        _, plain = invoke([mode, "4"])
+        assert capsys.readouterr().err == ""
+        code, raised = invoke([mode, "4", "--max-n", "7"])
+        assert code == cli.EXIT_OK
+        assert raised == plain
+        assert capsys.readouterr().err == (
+            "warning: n up to 7 may need several GB of memory\n"
+        )
 
 
 class TestSample:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from quantum_nqueens import sim
+from quantum_nqueens import qasm, sim
 from quantum_nqueens.circuit import Gate, build_full_circuit, gate_census, layout
 from quantum_nqueens.qasm import QasmParseError, export_qasm, parse_qasm_subset
 from quantum_nqueens.sim import SparseState
@@ -168,6 +168,18 @@ class TestParse:
                 id="empty-qreg",
             ),
             pytest.param(
+                "OPENQASM 2.0;\nqreg q[25];\nx q[20];\nqreg q[1];\n",
+                4,
+                "second qreg declaration",
+                id="narrowing-second-qreg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nqreg q[25];\nx q[20];\n",
+                3,
+                "second qreg declaration",
+                id="widening-second-qreg",
+            ),
+            pytest.param(
                 'OPENQASM 2.0;\ninclude "qelib1.inc";\ncreg c[1];\n',
                 1,
                 "missing qreg declaration",
@@ -180,6 +192,39 @@ class TestParse:
             parse_qasm_subset(text)
         assert err.value.lineno == lineno
         assert str(err.value) == f"line {lineno}: {message}"
+
+    @pytest.fixture
+    def layout_calls(self, monkeypatch):
+        """Record the parser's layout(n) calls; fail fast past a constant bound."""
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            assert len(calls) <= 2, "board size searched, not computed"
+            return layout(n)
+
+        monkeypatch.setattr(qasm, "layout", counted)
+        return calls
+
+    @pytest.mark.parametrize("width", [10**18, 10**30])
+    def test_huge_qreg_width_is_rejected_in_constant_time(self, width, layout_calls):
+        with pytest.raises(QasmParseError) as err:
+            parse_qasm_subset(f"OPENQASM 2.0;\nqreg q[{width}];\n")
+        assert str(err.value) == f"line 2: {width} qubits does not match any board size"
+
+    def test_huge_board_width_parses_in_constant_time(self, layout_calls):
+        width = layout(10**9).q_total
+        circuit = parse_qasm_subset(f"OPENQASM 2.0;\nqreg q[{width}];\n")
+        assert circuit.layout.n == 10**9
+        assert circuit.layout.q_total == width
+
+    @pytest.mark.parametrize("n", range(1, 40))
+    def test_every_board_width_and_its_neighbours(self, n):
+        width = layout(n).q_total
+        assert parse_qasm_subset(f"OPENQASM 2.0;\nqreg q[{width}];\n").layout.n == n
+        for other in (width - 1, width + 1):
+            with pytest.raises(QasmParseError):
+                parse_qasm_subset(f"OPENQASM 2.0;\nqreg q[{other}];\n")
 
     def test_statements_outside_the_gate_set_are_still_recognized(self):
         circuit = parse_qasm_subset(

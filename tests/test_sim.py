@@ -17,7 +17,6 @@ from quantum_nqueens.sim import (
     StateNormError,
     apply_gate,
     bitstring,
-    dump_readout,
     init_state,
     readout,
     run,
@@ -216,10 +215,6 @@ class TestReadout:
     def test_total_probability(self):
         rows = readout(run(build_full_circuit(4)))
         assert abs(sum(abs(a) ** 2 for _, a in rows) - 1.0) < 1e-10
-
-    def test_dump_format(self):
-        state = run(build_full_circuit(1))
-        assert dump_readout(state) == "1 1.0 0.0"
 
     def test_bitstring_qubit0_first(self):
         assert bitstring(0b001, 3) == "100"
