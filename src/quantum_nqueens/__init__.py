@@ -2,7 +2,6 @@
 post-selection analysis, and OpenQASM 2.0 export."""
 
 from .board import (
-    BoardConfig,
     PermutationVector,
     diagonal_pairs,
     is_diagonal,
@@ -38,7 +37,6 @@ from .qasm import QasmDocument, export_qasm, parse_qasm_subset
 from .sim import SparseState, apply_gate, init_state, readout, run, sample
 
 __all__ = [
-    "BoardConfig",
     "Circuit",
     "Gate",
     "GateCensus",

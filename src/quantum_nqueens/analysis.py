@@ -12,13 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from scipy import stats
-
 from . import board as board_mod
 from . import circuit as circuit_mod
 from . import sim as sim_mod
-from .board import BoardConfig, PermutationVector
-from .board import EncodingError  # noqa: F401  re-exported: decode raises it
+from .board import PermutationVector
 from .circuit import RegisterLayout
 from .sim import SparseState
 
@@ -27,36 +24,39 @@ from .sim import SparseState
 PROBABILITY_TOLERANCE = 1e-9
 
 
+class EncodingError(ValueError):
+    """A label violates the one-queen-per-row guarantee."""
+
+
 @dataclass(frozen=True)
 class OutcomeRecord:
-    board: BoardConfig
+    cols: tuple[int, ...]
     col_anc: tuple[int, ...]
     diag_anc: tuple[int, ...]
 
 
 def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
-    """Split a basis label into board, column-ancilla, and diagonal-ancilla bits."""
+    """Split a label into queen columns, read from the one set bit of each
+    row's n-qubit block, and the column- and diagonal-ancilla bits."""
     n = layout.n
-    cells = tuple(
-        tuple(label >> layout.system_qubit(r, c) & 1 for c in range(n)) for r in range(n)
-    )
-    board = BoardConfig(n, cells)
-    board_mod.queen_columns(board)
-    col_anc = tuple(label >> layout.col_anc_qubit(c) & 1 for c in range(n - 1))
-    diag_anc = tuple(
-        label >> layout.diag_anc_qubit(k) & 1 for k in range(1, layout.n_diag_anc + 1)
-    )
-    return OutcomeRecord(board=board, col_anc=col_anc, diag_anc=diag_anc)
+    row_mask = (1 << n) - 1
+    cols = []
+    for r in range(n):
+        block = label >> layout.system_qubit(r, 0) & row_mask
+        if block.bit_count() != 1:
+            raise EncodingError(f"row {r} holds {block.bit_count()} queens, expected 1")
+        cols.append(block.bit_length() - 1)
+    anc = label >> layout.n_system
+    col_anc = tuple(anc >> c & 1 for c in range(layout.n_col_anc))
+    diag_anc = tuple(anc >> (layout.n_col_anc + k) & 1 for k in range(layout.n_diag_anc))
+    return OutcomeRecord(cols=tuple(cols), col_anc=col_anc, diag_anc=diag_anc)
 
 
 def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
-    """Inverse of decode: pack board and ancilla bits back into a label."""
-    n = layout.n
+    """Inverse of decode, placing each set bit by the layout's per-qubit accessors."""
     label = 0
-    for r in range(n):
-        for c in range(n):
-            if record.board.cells[r][c]:
-                label |= 1 << layout.system_qubit(r, c)
+    for r, c in enumerate(record.cols):
+        label |= 1 << layout.system_qubit(r, c)
     for c, bit in enumerate(record.col_anc):
         if bit:
             label |= 1 << layout.col_anc_qubit(c)
@@ -66,15 +66,14 @@ def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
     return label
 
 
-def ancilla_truth(board: BoardConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def ancilla_truth(cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Classical prediction of the circuit's ancilla outputs for one board.
 
     Column ancilla c reads the parity of column c's queen count; diagonal
     ancilla for row pair (i, j) reads 0 iff those rows' queens share a
     diagonal.
     """
-    n = board.n
-    cols = board_mod.queen_columns(board)
+    n = len(cols)
     col_bits = tuple(cols.count(c) % 2 for c in range(n - 1))
     diag_bits = [1] * (n * (n - 1) // 2)
     for i in range(n):
@@ -85,15 +84,16 @@ def ancilla_truth(board: BoardConfig) -> tuple[tuple[int, ...], tuple[int, ...]]
     return col_bits, tuple(diag_bits)
 
 
-def postselect_solutions(state: SparseState) -> list[BoardConfig]:
-    """Boards of all terms whose ancillas are all 1, sorted canonically."""
-    boards = []
+def postselect_solutions(state: SparseState) -> list[PermutationVector]:
+    """Boards of all terms whose ancillas are all 1, sorted by columns."""
+    n = state.layout.n
+    solutions = []
     for lbl, _ in sim_mod.readout(state):
         record = decode(lbl, state.layout)
         if all(record.col_anc) and all(record.diag_anc):
-            boards.append(record.board)
-    boards.sort(key=lambda b: PermutationVector.from_board(b).cols)
-    return boards
+            solutions.append(PermutationVector(n, record.cols))
+    solutions.sort(key=lambda s: s.cols)
+    return solutions
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,12 @@ def verify_against_oracle(n: int) -> VerificationReport:
     success_probability = 0.0
     for lbl, amp in sim_mod.readout(state):
         record = decode(lbl, state.layout)
-        if (record.col_anc, record.diag_anc) != ancilla_truth(record.board):
+        if (record.col_anc, record.diag_anc) != ancilla_truth(record.cols):
             mismatches += 1
         if all(record.col_anc) and all(record.diag_anc):
             success_probability += abs(amp) ** 2
 
-    quantum = [PermutationVector.from_board(b) for b in postselect_solutions(state)]
+    quantum = postselect_solutions(state)
     classical = board_mod.solve_classical(n)
     equal = [s.cols for s in quantum] == [s.cols for s in classical]
 
@@ -205,6 +205,8 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     counted against those decodes. Chi-square is degenerate (reported as None)
     when the support has a single outcome.
     """
+    from scipy import stats  # only sampling needs scipy; it is slow to import
+
     labels = sim_mod.sample(state, shots, seed)
     support = [lbl for lbl, _ in sim_mod.readout(state)]
 

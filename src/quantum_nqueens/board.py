@@ -1,8 +1,8 @@
 """Classical N-Queens domain: boards, validity predicates, and a backtracking oracle.
 
-Rows and columns are 0-based everywhere. A board is an N x N matrix of 0/1
-cells; cell (r, c) = 1 places a queen at row r, column c. Boards with exactly
-one queen per row round-trip with a column-permutation vector.
+Rows and columns are 0-based everywhere. The circuit places exactly one queen
+in each row, so a board is its column vector: cols[r] is the column of row r's
+queen.
 """
 
 from __future__ import annotations
@@ -10,42 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator
-
-
-@dataclass(frozen=True)
-class BoardConfig:
-    """An n x n occupancy matrix; cells[r][c] == 1 means a queen at (r, c)."""
-
-    n: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"board size must be >= 1, got {self.n}")
-        if len(self.cells) != self.n or any(len(row) != self.n for row in self.cells):
-            raise ValueError(f"cells must be a {self.n}x{self.n} matrix")
-        if any(cell not in (0, 1) for row in self.cells for cell in row):
-            raise ValueError("cells must contain only 0 or 1")
-
-    def row_sum(self, r: int) -> int:
-        return sum(self.cells[r])
-
-    def col_sum(self, c: int) -> int:
-        return sum(self.cells[r][c] for r in range(self.n))
-
-
-class EncodingError(ValueError):
-    """A board violates the one-queen-per-row guarantee."""
-
-
-def queen_columns(board: BoardConfig) -> tuple[int, ...]:
-    """The column of each row's queen; EncodingError unless each row holds one."""
-    for r, row in enumerate(board.cells):
-        k = sum(row)
-        if k != 1:
-            raise EncodingError(f"row {r} holds {k} queens, expected 1")
-    return tuple(row.index(1) for row in board.cells)
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -60,16 +25,6 @@ class PermutationVector:
             raise ValueError(f"expected {self.n} columns, got {len(self.cols)}")
         if any(not 0 <= c < self.n for c in self.cols):
             raise ValueError("column index out of range")
-
-    def to_board(self) -> BoardConfig:
-        cells = tuple(
-            tuple(1 if c == col else 0 for c in range(self.n)) for col in self.cols
-        )
-        return BoardConfig(self.n, cells)
-
-    @classmethod
-    def from_board(cls, board: BoardConfig) -> "PermutationVector":
-        return cls(board.n, queen_columns(board))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "cols": list(self.cols)})
@@ -86,14 +41,11 @@ def is_diagonal(i: int, x: int, j: int, y: int) -> bool:
     return abs(x - y) == j - i
 
 
-def is_valid_solution(board: BoardConfig) -> bool:
-    """Row, column, and diagonal criteria: each row/column sum 1, diagonals <= 1."""
-    n = board.n
-    if any(board.row_sum(r) != 1 for r in range(n)):
+def is_valid_solution(cols: Sequence[int]) -> bool:
+    """Column and diagonal criteria: no column repeats, no pair shares a diagonal."""
+    n = len(cols)
+    if len(set(cols)) != n:
         return False
-    if any(board.col_sum(c) != 1 for c in range(n)):
-        return False
-    cols = [board.cells[r].index(1) for r in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if is_diagonal(i, cols[i], j, cols[j]):

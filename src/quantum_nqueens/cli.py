@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/verified, 1 verification mismatch (including a
 measured success probability off the classical ratio), 2 usage error,
-3 simulation size cap exceeded, 4 output file cannot be written. All
+3 size cap exceeded (simulation size, predicted gate total, or more than
+SHOTS_CAP = 10**7 sampled shots), 4 output file cannot be written. All
 randomness flows from --seed.
 """
 
@@ -26,6 +27,8 @@ FORMAT_ENV_VAR = "NQSOLVE_FORMAT"
 CLOSED_FORM_CAP = 10**6
 # Circuits whose closed-form gate total exceeds this are never built.
 BUILD_GATE_CAP = 10**6
+# Sampling holds every shot in memory (about 61 bytes each), so more are refused.
+SHOTS_CAP = 10**7
 
 
 class ResourceCapError(RuntimeError):
@@ -48,10 +51,9 @@ def _predicted_gates(n: int) -> int:
     return sum(circuit.closed_form_census(n).counts.values())
 
 
-def _board_ascii(b: board.BoardConfig) -> str:
-    return "\n".join(
-        " ".join("Q" if cell else "." for cell in row) for row in b.cells
-    )
+def _board_ascii(cols: tuple[int, ...]) -> str:
+    n = len(cols)
+    return "\n".join(" ".join("Q" if c == col else "." for c in range(n)) for col in cols)
 
 
 def cmd_solve(args: argparse.Namespace, out) -> int:
@@ -63,7 +65,7 @@ def cmd_solve(args: argparse.Namespace, out) -> int:
         if report.quantum_solutions:
             for idx, sol in enumerate(report.quantum_solutions, start=1):
                 print(f"solution {idx}: cols={list(sol.cols)}", file=out)
-                print(_board_ascii(sol.to_board()), file=out)
+                print(_board_ascii(sol.cols), file=out)
                 print(file=out)
         else:
             print("no solutions", file=out)
@@ -137,6 +139,8 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, out) -> int:
+    if args.shots > SHOTS_CAP:
+        raise ResourceCapError(f"--shots {args.shots} exceeds the sampling cap {SHOTS_CAP}")
     _check_cap(args.n, args.max_n)
     state = sim.run(circuit.build_full_circuit(args.n))
     report = analysis.sampling_report(state, shots=args.shots, seed=args.seed)
@@ -229,6 +233,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         parser.error(f"n must be >= 1, got {args.n}")
     if args.mode == "sample" and args.shots < 1:
         parser.error(f"--shots must be >= 1, got {args.shots}")
+    if args.mode == "sample" and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.command(args, out)
     except ResourceCapError as exc:

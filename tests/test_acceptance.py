@@ -38,8 +38,7 @@ def test_criterion_1_n4_exhaustive_reproduction(n4_state):
     for amp in state.terms.values():
         assert abs(abs(amp) - 1 / 16) <= 1e-10
 
-    boards = analysis.postselect_solutions(state)
-    quantum = sorted(board.PermutationVector.from_board(b).cols for b in boards)
+    quantum = [s.cols for s in analysis.postselect_solutions(state)]
     classical = sorted(s.cols for s in board.solve_classical(4))
     assert len(quantum) == 2
     assert quantum == classical
@@ -60,9 +59,7 @@ def test_criterion_2_n4_sampling(n4_state):
             in_range += 1
         for lbl in set(shots):
             record = analysis.decode(lbl, n4_state.layout)
-            assert (record.col_anc, record.diag_anc) == analysis.ancilla_truth(
-                record.board
-            )
+            assert (record.col_anc, record.diag_anc) == analysis.ancilla_truth(record.cols)
     assert in_range >= 99
     report(
         "criterion 2 (N=4 sampling)",

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quantum_nqueens import sim
 from quantum_nqueens.analysis import (
@@ -14,38 +15,60 @@ from quantum_nqueens.analysis import (
     sampling_report,
     verify_against_oracle,
 )
-from quantum_nqueens.board import BoardConfig, PermutationVector, solve_classical
+from quantum_nqueens.board import PermutationVector, is_valid_solution, solve_classical
 from quantum_nqueens.circuit import build_full_circuit, layout
 
 
-def perm_board(n, cols):
-    return PermutationVector(n, tuple(cols)).to_board()
+def per_qubit_read(lbl, lay):
+    """Reference decode: one layout lookup per qubit, no block arithmetic."""
+    n = lay.n
+    rows = [[c for c in range(n) if lbl >> lay.system_qubit(r, c) & 1] for r in range(n)]
+    assert all(len(row) == 1 for row in rows)
+    return (
+        tuple(row[0] for row in rows),
+        tuple(lbl >> lay.col_anc_qubit(c) & 1 for c in range(n - 1)),
+        tuple(lbl >> lay.diag_anc_qubit(k) & 1 for k in range(1, lay.n_diag_anc + 1)),
+    )
+
+
+@st.composite
+def outcome_records(draw):
+    """Any record at n = 1..8: columns may repeat, ancilla bits are free."""
+    n = draw(st.integers(min_value=1, max_value=8))
+
+    def bits(k, high):
+        return tuple(draw(st.lists(st.integers(0, high), min_size=k, max_size=k)))
+
+    return n, OutcomeRecord(bits(n, n - 1), bits(n - 1, 1), bits(n * (n - 1) // 2, 1))
 
 
 class TestDecode:
     def test_n1(self):
         record = decode(1, layout(1))
-        assert record.board == BoardConfig(1, ((1,),))
+        assert record.cols == (0,)
         assert record.col_anc == ()
         assert record.diag_anc == ()
 
     def test_rejects_bad_row_sum(self):
-        with pytest.raises(EncodingError):
+        with pytest.raises(EncodingError) as err:
             decode(0, layout(1))
+        assert str(err.value) == "row 0 holds 0 queens, expected 1"
 
     def test_rejects_multi_queen_row(self):
-        two_in_row_0 = BoardConfig(2, ((1, 1), (0, 1)))
-        label = encode(OutcomeRecord(two_in_row_0, (1,), (1,)), layout(2))
+        lay = layout(3)
+        label = encode(OutcomeRecord((0, 2, 1), (1, 1), (1, 1, 1)), lay)
         with pytest.raises(EncodingError) as err:
-            decode(label, layout(2))
-        assert str(err.value) == "row 0 holds 2 queens, expected 1"
+            decode(label | 1 << lay.system_qubit(2, 0), lay)
+        assert str(err.value) == "row 2 holds 2 queens, expected 1"
+        with pytest.raises(EncodingError) as err:
+            decode(label | 1 << lay.system_qubit(1, 0) | 1 << lay.system_qubit(1, 1), lay)
+        assert str(err.value) == "row 1 holds 3 queens, expected 1"
 
     def test_register_split(self):
         lay = layout(4)
-        board = perm_board(4, (0, 1, 2, 3))
-        label = encode(OutcomeRecord(board, (1, 0, 1), (0, 1, 1, 0, 1, 0)), lay)
+        label = encode(OutcomeRecord((0, 1, 2, 3), (1, 0, 1), (0, 1, 1, 0, 1, 0)), lay)
         record = decode(label, lay)
-        assert record.board == board
+        assert record.cols == (0, 1, 2, 3)
         assert record.col_anc == (1, 0, 1)
         assert record.diag_anc == (0, 1, 1, 0, 1, 0)
 
@@ -53,37 +76,48 @@ class TestDecode:
     def test_encode_decode_round_trip(self, cols):
         lay = layout(4)
         for col_anc in [(0, 0, 0), (1, 1, 1), (1, 0, 1)]:
-            rec = OutcomeRecord(perm_board(4, cols), col_anc, (1, 0, 1, 0, 1, 0))
+            rec = OutcomeRecord(cols, col_anc, (1, 0, 1, 0, 1, 0))
             assert decode(encode(rec, lay), lay) == rec
+
+    @given(outcome_records())
+    @example((8, OutcomeRecord((7,) * 8, (1,) * 7, (1,) * 28)))
+    def test_round_trip_any_record_up_to_n8(self, case):
+        # n = 7 and 8 labels run past 2**64 (76 and 99 qubits).
+        n, rec = case
+        lay = layout(n)
+        assert decode(encode(rec, lay), lay) == rec
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_qubit_reads_on_every_term(self, n):
+        state = sim.run(build_full_circuit(n))
+        for lbl, _ in sim.readout(state):
+            record = decode(lbl, state.layout)
+            assert (record.cols, record.col_anc, record.diag_anc) == per_qubit_read(
+                lbl, state.layout
+            )
 
 
 class TestAncillaTruth:
     def test_known_solution_all_ones(self):
-        col, diag = ancilla_truth(perm_board(4, (1, 3, 0, 2)))
+        col, diag = ancilla_truth((1, 3, 0, 2))
         assert col == (1, 1, 1)
         assert diag == (1, 1, 1, 1, 1, 1)
 
     def test_identity_board(self):
         # all queens on the main diagonal: every pair conflicts
-        col, diag = ancilla_truth(perm_board(4, (0, 1, 2, 3)))
+        col, diag = ancilla_truth((0, 1, 2, 3))
         assert col == (1, 1, 1)
         assert diag == (0, 0, 0, 0, 0, 0)
 
     def test_even_column_sum(self):
-        col, _ = ancilla_truth(perm_board(2, (0, 0)))
+        col, _ = ancilla_truth((0, 0))
         assert col[0] == 0
-
-    def test_rejects_multi_queen_row(self):
-        with pytest.raises(EncodingError) as err:
-            ancilla_truth(BoardConfig(2, ((1, 1), (0, 0))))
-        assert str(err.value) == "row 0 holds 2 queens, expected 1"
 
 
 class TestPostselect:
     def test_n4_two_solutions(self):
         state = sim.run(build_full_circuit(4))
-        boards = postselect_solutions(state)
-        assert [PermutationVector.from_board(b).cols for b in boards] == [
+        assert [s.cols for s in postselect_solutions(state)] == [
             (1, 3, 0, 2),
             (2, 0, 3, 1),
         ]
@@ -92,8 +126,8 @@ class TestPostselect:
         assert postselect_solutions(sim.run(build_full_circuit(2))) == []
 
     def test_n1_single(self):
-        boards = postselect_solutions(sim.run(build_full_circuit(1)))
-        assert boards == [BoardConfig(1, ((1,),))]
+        solutions = postselect_solutions(sim.run(build_full_circuit(1)))
+        assert solutions == [PermutationVector(1, (0,))]
 
 
 class TestVerifyAgainstOracle:
@@ -117,7 +151,7 @@ class TestVerifyAgainstOracle:
 
         def run_with_boost(circuit):
             state = real_run(circuit)
-            record = OutcomeRecord(perm_board(4, [1, 3, 0, 2]), (1,) * 3, (1,) * 6)
+            record = OutcomeRecord((1, 3, 0, 2), (1,) * 3, (1,) * 6)
             terms = dict(state.terms)
             terms[encode(record, state.layout)] *= 2
             return sim.SparseState(state.layout, terms)
@@ -150,8 +184,7 @@ class TestVerifyAgainstOracle:
         for lbl, _ in sim.readout(state):
             record = decode(lbl, state.layout)
             if all(record.col_anc):
-                cols = PermutationVector.from_board(record.board).cols
-                assert sorted(cols) == list(range(4))
+                assert sorted(record.cols) == list(range(4))
 
 
 @pytest.fixture(scope="module")
@@ -207,20 +240,13 @@ class TestAncillaTruthMatchesCircuit:
         state = sim.run(build_full_circuit(n))
         for lbl, _ in sim.readout(state):
             record = decode(lbl, state.layout)
-            assert (record.col_anc, record.diag_anc) == ancilla_truth(record.board)
+            assert (record.col_anc, record.diag_anc) == ancilla_truth(record.cols)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_postselection_equals_validity_predicate(self, n):
-        from quantum_nqueens.board import is_valid_solution
-
         state = sim.run(build_full_circuit(n))
-        selected = {
-            PermutationVector.from_board(b).cols for b in postselect_solutions(state)
-        }
-        valid = {
-            PermutationVector.from_board(decode(lbl, state.layout).board).cols
-            for lbl, _ in sim.readout(state)
-            if is_valid_solution(decode(lbl, state.layout).board)
-        }
+        selected = {s.cols for s in postselect_solutions(state)}
+        records = [decode(lbl, state.layout) for lbl, _ in sim.readout(state)]
+        valid = {r.cols for r in records if is_valid_solution(r.cols)}
         assert selected == valid
         assert selected == {s.cols for s in solve_classical(n)}

@@ -3,17 +3,15 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from quantum_nqueens.analysis import EncodingError, decode
 from quantum_nqueens.board import (
-    BoardConfig,
-    EncodingError,
-    PermutationVector,
     diagonal_pairs,
     is_diagonal,
     is_valid_solution,
-    queen_columns,
     solve_classical,
     verify_even_parity_proposition,
 )
+from quantum_nqueens.circuit import layout
 
 # Computed by brute force over all n! permutations (see test_solution_counts_brute_force).
 KNOWN_SOLUTION_COUNTS = {1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92}
@@ -68,25 +66,23 @@ class TestIsDiagonal:
 
 class TestIsValidSolution:
     def test_identity_is_not_a_solution(self):
-        identity = PermutationVector(4, (0, 1, 2, 3)).to_board()
-        assert not is_valid_solution(identity)
+        assert not is_valid_solution((0, 1, 2, 3))
 
     def test_single_cell_board(self):
-        assert is_valid_solution(BoardConfig(1, ((1,),)))
+        assert is_valid_solution((0,))
 
     def test_known_4queens_solution(self):
-        assert is_valid_solution(PermutationVector(4, (1, 3, 0, 2)).to_board())
+        assert is_valid_solution((1, 3, 0, 2))
 
     def test_exhaustive_4x4_boards_with_one_queen_per_row(self):
         # all 4^4 one-queen-per-row boards: valid iff in the brute-force set
         expected = set(brute_force_solutions(4))
         for cols in itertools.product(range(4), repeat=4):
-            b = PermutationVector(4, cols).to_board()
-            assert is_valid_solution(b) == (cols in expected)
+            assert is_valid_solution(cols) == (cols in expected)
 
     def test_row_violation(self):
-        cells = ((1, 1), (0, 0))
-        assert not is_valid_solution(BoardConfig(2, cells))
+        # rows 0 and 2 share column 0; no pair shares a diagonal
+        assert not is_valid_solution((0, 2, 0))
 
 
 class TestSolveClassical:
@@ -105,7 +101,7 @@ class TestSolveClassical:
 
     def test_all_outputs_valid(self):
         for sol in solve_classical(7):
-            assert is_valid_solution(sol.to_board())
+            assert is_valid_solution(sol.cols)
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_closed_under_180_rotation(self, n):
@@ -167,24 +163,25 @@ class TestEvenParityProposition:
         assert verify_even_parity_proposition(11, max_n=11) is True
 
 
-class TestBoardSerialization:
-    def test_board_permutation_round_trip(self):
-        p = PermutationVector(5, (0, 2, 4, 1, 3))
-        assert PermutationVector.from_board(p.to_board()) == p
-
-    def test_from_board_rejects_multi_queen_row(self):
-        with pytest.raises(ValueError) as err:
-            PermutationVector.from_board(BoardConfig(2, ((1, 1), (0, 0))))
-        assert isinstance(err.value, EncodingError)
-        assert str(err.value) == "row 0 holds 2 queens, expected 1"
+def grid_label(cells):
+    """The label that draws `cells` on the system qubits, one bit per queen."""
+    lay = layout(len(cells))
+    label = 0
+    for r, row in enumerate(cells):
+        for c, cell in enumerate(row):
+            label |= cell << lay.system_qubit(r, c)
+    return label, lay
 
 
 class TestQueenColumns:
+    """A board drawn as a 0/1 grid decodes to the column of each row's queen."""
+
     def test_one_queen_per_row(self):
-        assert queen_columns(PermutationVector(4, (1, 3, 0, 2)).to_board()) == (1, 3, 0, 2)
+        cells = ((0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 1, 0))
+        assert decode(*grid_label(cells)).cols == (1, 3, 0, 2)
 
     def test_shared_column_is_allowed(self):
-        assert queen_columns(BoardConfig(2, ((0, 1), (0, 1)))) == (1, 1)
+        assert decode(*grid_label(((0, 1), (0, 1)))).cols == (1, 1)
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -196,7 +193,7 @@ class TestQueenColumns:
     )
     def test_names_the_first_bad_row(self, cells, message):
         with pytest.raises(EncodingError) as err:
-            queen_columns(BoardConfig(len(cells), cells))
+            decode(*grid_label(cells))
         assert str(err.value) == message
 
 
@@ -208,8 +205,7 @@ class TestQueenColumns:
 def test_validity_decomposes_into_pairwise_diagonal_checks(case):
     # for permutation boards, validity is exactly the absence of diagonal conflicts
     n, cols = case
-    b = PermutationVector(n, cols).to_board()
     clash = any(
         is_diagonal(i, cols[i], j, cols[j]) for i in range(n) for j in range(i + 1, n)
     )
-    assert is_valid_solution(b) == (not clash)
+    assert is_valid_solution(cols) == (not clash)

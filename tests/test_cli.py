@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +202,21 @@ class TestSample:
             invoke(["sample", "4", "--shots", "0"])
         assert err.value.code == cli.EXIT_USAGE
 
+    def test_negative_seed_usage_error(self, capsys):
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sample", "4", "--seed", "-1"], out=out)
+        assert err.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert out.getvalue() == captured.out == ""
+        assert "--seed must be >= 0, got -1" in captured.err
+
+    def test_over_the_shots_cap_exits_3(self, no_build, capsys):
+        code, text = invoke(["sample", "4", "--shots", str(cli.SHOTS_CAP + 1)])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        assert f"exceeds the sampling cap {cli.SHOTS_CAP}" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_n5(self):
@@ -236,6 +255,17 @@ class TestExportQasm:
         assert code == cli.EXIT_RESOURCE == 3
         assert text == ""
         assert "669166498 gates" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = "import sys, quantum_nqueens.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 class TestUsage:
