@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import board as board_mod
 from . import circuit as circuit_mod
 from . import sim as sim_mod
@@ -50,6 +52,44 @@ def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
     col_anc = tuple(anc >> c & 1 for c in range(layout.n_col_anc))
     diag_anc = tuple(anc >> (layout.n_col_anc + k) & 1 for k in range(layout.n_diag_anc))
     return OutcomeRecord(cols=tuple(cols), col_anc=col_anc, diag_anc=diag_anc)
+
+
+def decode_rows(
+    labels: np.ndarray, layout: RegisterLayout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of `decode` over an (N, W) word array of labels.
+
+    Returns the (N, n) queen columns, -1 where a row's block does not hold
+    exactly one queen, and the (N, n-1) column- and (N, n(n-1)/2)
+    diagonal-ancilla bits as uint8. Every qubit is read on its own from its
+    word, so labels wider than one word decode the same way.
+    """
+    n, count = layout.n, len(labels)
+
+    def bit(q: int) -> np.ndarray:
+        word, shift = divmod(q, sim_mod.WORD_BITS)
+        return (labels[:, word] >> np.uint64(shift) & np.uint64(1)).astype(np.uint8)
+
+    cols = np.empty((count, n), dtype=np.min_scalar_type(-n))
+    for r in range(n):
+        col = np.zeros(count, dtype=cols.dtype)
+        queens = np.zeros(count, dtype=np.min_scalar_type(n))
+        for c in range(n):
+            b = bit(layout.system_qubit(r, c))
+            col[b == 1] = c
+            queens += b
+        cols[:, r] = np.where(queens == 1, col, -1)
+
+    def bits(qubits: range) -> np.ndarray:
+        out = np.empty((count, len(qubits)), dtype=np.uint8)
+        for j, q in enumerate(qubits):
+            out[:, j] = bit(q)
+        return out
+
+    diag = layout.n_system + layout.n_col_anc
+    col_anc = bits(range(layout.n_system, diag))
+    diag_anc = bits(range(diag, diag + layout.n_diag_anc))
+    return cols, col_anc, diag_anc
 
 
 def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
@@ -201,27 +241,29 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     """Seeded measurement summary: distinct outcomes, solution hits, and a
     chi-square uniformity statistic over the state's support.
 
-    Each distinct sampled label is decoded once, in first-hit order; shots are
-    counted against those decodes. Chi-square is degenerate (reported as None)
+    Shots are counted per term in readout order, and each term hit at least
+    once is decoded in one array pass. A hit label that breaks the
+    one-queen-per-row encoding raises the scalar `decode`'s `EncodingError`,
+    for the earliest such shot. Chi-square is degenerate (reported as None)
     when the support has a single outcome.
     """
     from scipy import stats  # only sampling needs scipy; it is slow to import
 
-    labels = sim_mod.sample(state, shots, seed)
-    support = [lbl for lbl, _ in sim_mod.readout(state)]
+    order, positions = sim_mod.sample_rows(state, shots, seed)
+    counts = np.bincount(positions, minlength=len(order))
+    hit = np.flatnonzero(counts)
+    cols, col_anc, diag_anc = decode_rows(state.labels[order[hit]], state.layout)
 
-    is_solution = {}
-    for lbl in dict.fromkeys(labels):
-        record = decode(lbl, state.layout)
-        is_solution[lbl] = all(record.col_anc) and all(record.diag_anc)
-    hits = sum(is_solution[lbl] for lbl in labels)
+    bad = (cols < 0).any(axis=1)
+    if bad.any():
+        first = positions[np.isin(positions, hit[bad])][0]
+        label = state.labels[order[first]].astype("<u8").tobytes()
+        decode(int.from_bytes(label, "little"), state.layout)  # raises
+    solution = col_anc.all(axis=1) & diag_anc.all(axis=1)
 
     chi_square = p_value = None
-    if len(support) > 1:
-        observed = {lbl: 0 for lbl in support}
-        for lbl in labels:
-            observed[lbl] += 1
-        result = stats.chisquare(list(observed.values()))
+    if len(order) > 1:
+        result = stats.chisquare(counts)
         chi_square = float(result.statistic)
         p_value = float(result.pvalue)
 
@@ -230,8 +272,8 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
         shots=shots,
         seed=seed,
         rng_algorithm=sim_mod.RNG_ALGORITHM,
-        distinct_outcomes=len(is_solution),
-        solution_hits=hits,
+        distinct_outcomes=len(hit),
+        solution_hits=int(counts[hit[solution]].sum()),
         chi_square=chi_square,
         p_value=p_value,
     )

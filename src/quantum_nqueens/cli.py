@@ -2,9 +2,9 @@
 
 Exit codes: 0 success/verified, 1 verification mismatch (including a
 measured success probability off the classical ratio), 2 usage error,
-3 size cap exceeded (simulation size, predicted gate total, or more than
-SHOTS_CAP = 10**7 sampled shots), 4 output file cannot be written. All
-randomness flows from --seed.
+3 size cap exceeded (simulation size, predicted gate total, more than
+SHOTS_CAP = 10**7 sampled shots, or an `oracle` board above ORACLE_CAP = 12),
+4 output file cannot be written. All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ FORMAT_ENV_VAR = "NQSOLVE_FORMAT"
 CLOSED_FORM_CAP = 10**6
 # Circuits whose closed-form gate total exceeds this are never built.
 BUILD_GATE_CAP = 10**6
-# Sampling holds every shot in memory (about 61 bytes each), so more are refused.
+# Sampling holds every shot in memory (about 16 bytes each), so more are refused.
 SHOTS_CAP = 10**7
+# Backtracking grows about 5x per board size (5 to 7 s at n=12), so larger boards are refused.
+ORACLE_CAP = 12
 
 
 class ResourceCapError(RuntimeError):
@@ -37,10 +39,10 @@ class ResourceCapError(RuntimeError):
 
 def _check_cap(n: int, max_n: int) -> None:
     if n > max_n:
-        transient = 2 * n**n
+        # 2*n**n is not computed: past 4,300 digits an int cannot be printed.
         raise ResourceCapError(
             f"n={n} exceeds the simulation cap {max_n} "
-            f"(up to {transient} transient state terms); raise with --max-n"
+            f"(up to 2*{n}**{n} transient state terms); raise with --max-n"
         )
     if max_n > DEFAULT_MAX_N:
         print(f"warning: n up to {max_n} may need several GB of memory", file=sys.stderr)
@@ -158,6 +160,8 @@ def cmd_sample(args: argparse.Namespace, out) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace, out) -> int:
+    if args.n > ORACLE_CAP:
+        raise ResourceCapError(f"n={args.n} exceeds the oracle cap {ORACLE_CAP}")
     solutions = board.solve_classical(args.n)
     if args.format == "json":
         print(

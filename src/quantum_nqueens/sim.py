@@ -205,11 +205,12 @@ def readout(state: SparseState) -> list[tuple[int, complex]]:
     return list(zip(_to_ints(state.labels[order]), state.amps[order].tolist()))
 
 
-def sample(state: SparseState, shots: int, seed: int) -> list[int]:
-    """Draw basis labels i.i.d. with probability |amp|^2.
+def sample_rows(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw shots i.i.d. with probability |amp|^2, as row positions.
 
-    Inverse-CDF over the canonical readout order, so a seed fully determines
-    the shot sequence.
+    Returns the readout order of the state's terms and each shot's index into
+    it. Inverse-CDF over that canonical order, so a seed fully determines the
+    shot sequence.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -222,5 +223,10 @@ def sample(state: SparseState, shots: int, seed: int) -> list[int]:
     cdf[-1] = 1.0  # guard the top bin against rounding
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
-    indices = np.searchsorted(cdf, draws, side="right")
-    return _to_ints(state.labels[order[indices]])
+    return order, np.searchsorted(cdf, draws, side="right")
+
+
+def sample(state: SparseState, shots: int, seed: int) -> list[int]:
+    """Draw basis labels i.i.d. with probability |amp|^2 (see `sample_rows`)."""
+    order, positions = sample_rows(state, shots, seed)
+    return _to_ints(state.labels[order[positions]])

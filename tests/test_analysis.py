@@ -1,15 +1,20 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
-from quantum_nqueens import sim
+from quantum_nqueens import analysis, sim
 from quantum_nqueens.analysis import (
     PROBABILITY_TOLERANCE,
     EncodingError,
     OutcomeRecord,
+    SamplingReport,
     ancilla_truth,
     decode,
+    decode_rows,
     encode,
     postselect_solutions,
     sampling_report,
@@ -27,6 +32,15 @@ def per_qubit_read(lbl, lay):
     return (
         tuple(row[0] for row in rows),
         tuple(lbl >> lay.col_anc_qubit(c) & 1 for c in range(n - 1)),
+        tuple(lbl >> lay.diag_anc_qubit(k) & 1 for k in range(1, lay.n_diag_anc + 1)),
+    )
+
+
+def per_qubit_ancillas(lbl, lay):
+    """Ancilla bits of any label, read one qubit at a time, with no columns."""
+    return OutcomeRecord(
+        (),
+        tuple(lbl >> lay.col_anc_qubit(c) & 1 for c in range(lay.n_col_anc)),
         tuple(lbl >> lay.diag_anc_qubit(k) & 1 for k in range(1, lay.n_diag_anc + 1)),
     )
 
@@ -95,6 +109,74 @@ class TestDecode:
             assert (record.cols, record.col_anc, record.diag_anc) == per_qubit_read(
                 lbl, state.layout
             )
+
+
+def words(labels, width):
+    """(N, width) uint64 array of Python-int labels, low word first."""
+    mask = (1 << 64) - 1
+    return np.array(
+        [[lbl >> 64 * w & mask for w in range(width)] for lbl in labels], dtype=np.uint64
+    ).reshape(len(labels), width)
+
+
+@st.composite
+def row_labels(draw):
+    """Labels at one n in 1..8, drawn row by row: each row holds 0 to 3
+    queens, mostly 1, and the ancilla bits are free. Each label comes with
+    the columns of its queens, row by row."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    lay = layout(n)
+    cases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        rows = []
+        for _ in range(n):
+            k = min(n, draw(st.sampled_from([0, 1, 1, 1, 1, 2, 3])))
+            rows.append(draw(st.sets(st.integers(0, n - 1), min_size=k, max_size=k)))
+        label = sum(1 << lay.system_qubit(r, c) for r, row in enumerate(rows) for c in row)
+        anc = draw(st.integers(0, 2 ** (lay.n_col_anc + lay.n_diag_anc) - 1))
+        cases.append((label | anc << lay.n_system, rows))
+    return n, cases
+
+
+class TestDecodeRows:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_decode_on_every_term(self, n):
+        state = sim.run(build_full_circuit(n))
+        cols, col_anc, diag_anc = decode_rows(state.labels, state.layout)
+        assert cols.shape == (len(state), n) and cols.dtype == np.int8
+        assert col_anc.shape == (len(state), n - 1) and col_anc.dtype == np.uint8
+        assert diag_anc.shape == (len(state), n * (n - 1) // 2) and diag_anc.dtype == np.uint8
+        for i, lbl in enumerate(state.terms):
+            record = decode(lbl, state.layout)
+            assert tuple(cols[i].tolist()) == record.cols
+            assert tuple(col_anc[i].tolist()) == record.col_anc
+            assert tuple(diag_anc[i].tolist()) == record.diag_anc
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_labels())
+    # n = 7 and 8 labels run past 2**64 (76 and 99 qubits).
+    @example((8, [(2**99 - 1, [set(range(8))] * 8)]))
+    @example((7, [(encode(OutcomeRecord((6,) * 7, (1,) * 6, (1,) * 21), layout(7)), [{6}] * 7)]))
+    def test_flags_exactly_the_rows_decode_rejects(self, case):
+        n, cases = case
+        lay = layout(n)
+        labels = [label for label, _ in cases]
+        cols, col_anc, diag_anc = decode_rows(words(labels, -(-lay.q_total // 64)), lay)
+        for i, (label, rows) in enumerate(cases):
+            assert cols[i].tolist() == [min(row) if len(row) == 1 else -1 for row in rows]
+            bad = [r for r, row in enumerate(rows) if len(row) != 1]
+            if bad:
+                with pytest.raises(EncodingError) as err:
+                    decode(label, lay)
+                assert str(err.value) == (
+                    f"row {bad[0]} holds {len(rows[bad[0]])} queens, expected 1"
+                )
+                record = per_qubit_ancillas(label, lay)
+            else:
+                record = decode(label, lay)
+                assert tuple(cols[i].tolist()) == record.cols
+            assert tuple(col_anc[i].tolist()) == record.col_anc
+            assert tuple(diag_anc[i].tolist()) == record.diag_anc
 
 
 class TestAncillaTruth:
@@ -192,6 +274,37 @@ def n4_state():
     return sim.run(build_full_circuit(4))
 
 
+@pytest.fixture(scope="module")
+def states():
+    return {n: sim.run(build_full_circuit(n)) for n in (4, 5)}
+
+
+def shot_by_shot_report(state, shots, seed):
+    """Reference report built from the sampled labels: a scalar decode per
+    distinct label, a Counter of the shots, and chi-square over a list of
+    counts in readout order."""
+    labels = sim.sample(state, shots, seed)
+    records = {lbl: decode(lbl, state.layout) for lbl in labels}
+    observed = Counter(labels)
+    support = [lbl for lbl, _ in sim.readout(state)]
+    chi_square = p_value = None
+    if len(support) > 1:
+        result = stats.chisquare([observed[lbl] for lbl in support])
+        chi_square, p_value = float(result.statistic), float(result.pvalue)
+    return SamplingReport(
+        n=state.layout.n,
+        shots=shots,
+        seed=seed,
+        rng_algorithm="PCG64",
+        distinct_outcomes=len(observed),
+        solution_hits=sum(
+            observed[lbl] for lbl, r in records.items() if all(r.col_anc) and all(r.diag_anc)
+        ),
+        chi_square=chi_square,
+        p_value=p_value,
+    )
+
+
 class TestSamplingReport:
     def test_reproducible(self, n4_state):
         a = sampling_report(n4_state, shots=310, seed=1)
@@ -232,6 +345,38 @@ class TestSamplingReport:
         obj = json.loads(report.to_json())
         assert obj["rng_algorithm"] == "PCG64"
         assert obj["shots"] == 50
+
+    @pytest.mark.parametrize("shots", [1, 310, 20_000])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_equals_the_shot_by_shot_reference(self, states, n, seed, shots):
+        report = sampling_report(states[n], shots=shots, seed=seed)
+        assert report == shot_by_shot_report(states[n], shots, seed)
+        assert type(report.distinct_outcomes) is type(report.solution_hits) is int
+
+    def test_decodes_no_label_of_a_valid_state(self, n4_state, monkeypatch):
+        def refuse(label, layout):
+            raise AssertionError("scalar decode called")
+
+        monkeypatch.setattr(analysis, "decode", refuse)
+        assert sampling_report(n4_state, shots=310, seed=1).solution_hits > 0
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [(0, "row 0 holds 0 queens, expected 1"), (1, "row 1 holds 2 queens, expected 1")],
+    )
+    def test_bad_label_error_names_the_first_bad_shot(self, seed, message):
+        # n=2: row 0 is qubits 0-1, row 1 is qubits 2-3. Label 4 has an empty
+        # row 0 and label 13 two queens in row 1; 4 reads out first.
+        lay = layout(2)
+        state = sim.SparseState(lay, dict.fromkeys([9, 57, 4, 13], 0.5 + 0j))
+        assert [lbl for lbl, _ in sim.readout(state)] == [4, 9, 57, 13]
+        shots = sim.sample(state, 8, seed)
+        first_bad = next(lbl for lbl in shots if lbl in (4, 13))
+        assert first_bad == (4 if seed == 0 else 13)
+        with pytest.raises(EncodingError) as err:
+            sampling_report(state, shots=8, seed=seed)
+        assert str(err.value) == message
 
 
 class TestAncillaTruthMatchesCircuit:

@@ -181,6 +181,19 @@ class TestRaisedCap:
         )
 
 
+class TestHugeBoard:
+    @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
+    def test_exits_3_without_printing_n_to_the_n(self, mode, no_build, capsys):
+        # 2 * 2000**2000 has 6,603 digits, past Python's int-to-str limit.
+        code, text = invoke([mode, "2000"])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: n=2000 exceeds the simulation cap 6 "
+            "(up to 2*2000**2000 transient state terms); raise with --max-n\n"
+        )
+
+
 class TestSample:
     def test_deterministic(self):
         a = invoke(["sample", "4", "--shots", "310", "--seed", "1"])
@@ -228,6 +241,20 @@ class TestOracle:
         _, text = invoke(["oracle", "4"])
         assert '{"n": 4, "cols": [1, 3, 0, 2]}' in text
         assert "total: 2" in text
+
+    def test_over_the_cap_exits_3_without_searching(self, monkeypatch, capsys):
+        def refuse(n):
+            raise AssertionError(f"searched n={n}")
+
+        monkeypatch.setattr(cli.board, "solve_classical", refuse)
+        code, text = invoke(["oracle", str(cli.ORACLE_CAP + 1)])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        assert capsys.readouterr().err == "error: n=13 exceeds the oracle cap 12\n"
+
+    def test_at_the_cap_searches(self, monkeypatch):
+        monkeypatch.setattr(cli.board, "solve_classical", lambda n: [])
+        assert invoke(["oracle", str(cli.ORACLE_CAP)]) == (0, "total: 0\n")
 
 
 class TestExportQasm:

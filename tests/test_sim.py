@@ -21,6 +21,7 @@ from quantum_nqueens.sim import (
     readout,
     run,
     sample,
+    sample_rows,
 )
 
 
@@ -291,6 +292,16 @@ class TestSample:
         state = SparseState(layout(1), {0: 0.5 + 0j})
         with pytest.raises(StateNormError):
             sample(state, 1, seed=0)
+
+    def test_rows_index_the_readout_order(self):
+        state = run(build_full_circuit(4))
+        order, positions = sample_rows(state, 310, seed=3)
+        labels = [lbl for lbl, _ in readout(state)]
+        assert [labels[p] for p in positions.tolist()] == sample(state, 310, seed=3)
+        assert [bitstring(lbl, 25) for lbl in labels] == sorted(
+            bitstring(lbl, 25) for lbl in state.terms
+        )
+        assert sorted(order.tolist()) == list(range(len(state)))
 
     def test_rng_algorithm_documented(self):
         assert RNG_ALGORITHM == "PCG64"
