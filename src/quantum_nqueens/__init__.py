@@ -2,7 +2,6 @@
 post-selection analysis, and OpenQASM 2.0 export."""
 
 from .board import (
-    PermutationVector,
     diagonal_pairs,
     is_diagonal,
     is_valid_solution,
@@ -41,7 +40,6 @@ __all__ = [
     "Gate",
     "GateCensus",
     "OutcomeRecord",
-    "PermutationVector",
     "QasmDocument",
     "RegisterLayout",
     "SamplingReport",

@@ -10,14 +10,13 @@ prediction `ancilla_truth`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import board as board_mod
 from . import circuit as circuit_mod
 from . import sim as sim_mod
-from .board import PermutationVector
 from .circuit import RegisterLayout
 from .sim import SparseState
 
@@ -124,23 +123,21 @@ def ancilla_truth(cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     return col_bits, tuple(diag_bits)
 
 
-def postselect_solutions(state: SparseState) -> list[PermutationVector]:
-    """Boards of all terms whose ancillas are all 1, sorted by columns."""
-    n = state.layout.n
+def postselect_solutions(state: SparseState) -> list[tuple[int, ...]]:
+    """Queen columns of all terms whose ancillas are all 1, sorted."""
     solutions = []
     for lbl, _ in sim_mod.readout(state):
         record = decode(lbl, state.layout)
         if all(record.col_anc) and all(record.diag_anc):
-            solutions.append(PermutationVector(n, record.cols))
-    solutions.sort(key=lambda s: s.cols)
-    return solutions
+            solutions.append(record.cols)
+    return sorted(solutions)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     n: int
-    quantum_solutions: list[PermutationVector]
-    classical_solutions: list[PermutationVector]
+    quantum_solutions: list[tuple[int, ...]]
+    classical_solutions: list[tuple[int, ...]]
     equal: bool
     success_probability: float
     census_ok: bool
@@ -155,19 +152,7 @@ class VerificationReport:
         return abs(self.success_probability - expected) <= PROBABILITY_TOLERANCE
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "quantum_solutions": [list(s.cols) for s in self.quantum_solutions],
-                "classical_solutions": [list(s.cols) for s in self.classical_solutions],
-                "equal": self.equal,
-                "success_probability": self.success_probability,
-                "census_ok": self.census_ok,
-                "ancilla_mismatches": self.ancilla_mismatches,
-                "seed": self.seed,
-                "rng_algorithm": self.rng_algorithm,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def verify_against_oracle(n: int) -> VerificationReport:
@@ -190,13 +175,8 @@ def verify_against_oracle(n: int) -> VerificationReport:
 
     quantum = postselect_solutions(state)
     classical = board_mod.solve_classical(n)
-    equal = [s.cols for s in quantum] == [s.cols for s in classical]
-
-    built = circuit_mod.gate_census(circuit)
-    predicted = circuit_mod.closed_form_census(n)
     census_ok = (
-        built.column_check_gates == predicted.column_check_gates
-        and built.diagonal_ccx == predicted.diagonal_ccx
+        circuit_mod.gate_census(circuit) == circuit_mod.closed_form_census(n)
         and circuit.layout.q_total == circuit_mod.qubit_total(n)
     )
 
@@ -204,7 +184,7 @@ def verify_against_oracle(n: int) -> VerificationReport:
         n=n,
         quantum_solutions=quantum,
         classical_solutions=classical,
-        equal=equal,
+        equal=quantum == classical,
         success_probability=success_probability,
         census_ok=census_ok,
         ancilla_mismatches=mismatches,
@@ -223,18 +203,7 @@ class SamplingReport:
     p_value: float | None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "shots": self.shots,
-                "seed": self.seed,
-                "rng_algorithm": self.rng_algorithm,
-                "distinct_outcomes": self.distinct_outcomes,
-                "solution_hits": self.solution_hits,
-                "chi_square": self.chi_square,
-                "p_value": self.p_value,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport:

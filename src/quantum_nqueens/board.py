@@ -2,32 +2,13 @@
 
 Rows and columns are 0-based everywhere. The circuit places exactly one queen
 in each row, so a board is its column vector: cols[r] is the column of row r's
-queen.
+queen. A solution is that vector as a tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-
-@dataclass(frozen=True)
-class PermutationVector:
-    """cols[r] is the column of the (single) queen in row r."""
-
-    n: int
-    cols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.cols) != self.n:
-            raise ValueError(f"expected {self.n} columns, got {len(self.cols)}")
-        if any(not 0 <= c < self.n for c in self.cols):
-            raise ValueError("column index out of range")
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "cols": list(self.cols)})
 
 
 def is_diagonal(i: int, x: int, j: int, y: int) -> bool:
@@ -53,17 +34,17 @@ def is_valid_solution(cols: Sequence[int]) -> bool:
     return True
 
 
-def solve_classical(n: int) -> list[PermutationVector]:
-    """All N-Queens solutions by row-by-row backtracking, sorted by cols."""
+def solve_classical(n: int) -> list[tuple[int, ...]]:
+    """All N-Queens solutions by row-by-row backtracking, sorted: columns are tried in order."""
     if n < 1:
         raise ValueError(f"board size must be >= 1, got {n}")
-    solutions: list[PermutationVector] = []
+    solutions: list[tuple[int, ...]] = []
     cols: list[int] = []
     used_cols = set()
 
     def place(row: int) -> None:
         if row == n:
-            solutions.append(PermutationVector(n, tuple(cols)))
+            solutions.append(tuple(cols))
             return
         for c in range(n):
             if c in used_cols:
@@ -77,7 +58,6 @@ def solve_classical(n: int) -> list[PermutationVector]:
             used_cols.remove(c)
 
     place(0)
-    solutions.sort(key=lambda s: s.cols)
     return solutions
 
 

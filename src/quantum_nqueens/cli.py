@@ -24,6 +24,7 @@ EXIT_IO = 4
 
 DEFAULT_MAX_N = 6
 FORMAT_ENV_VAR = "NQSOLVE_FORMAT"
+FORMATS = ("text", "json")
 CLOSED_FORM_CAP = 10**6
 # Circuits whose closed-form gate total exceeds this are never built.
 BUILD_GATE_CAP = 10**6
@@ -66,8 +67,8 @@ def cmd_solve(args: argparse.Namespace, out) -> int:
     else:
         if report.quantum_solutions:
             for idx, sol in enumerate(report.quantum_solutions, start=1):
-                print(f"solution {idx}: cols={list(sol.cols)}", file=out)
-                print(_board_ascii(sol.cols), file=out)
+                print(f"solution {idx}: cols={list(sol)}", file=out)
+                print(_board_ascii(sol), file=out)
                 print(file=out)
         else:
             print("no solutions", file=out)
@@ -164,13 +165,10 @@ def cmd_oracle(args: argparse.Namespace, out) -> int:
         raise ResourceCapError(f"n={args.n} exceeds the oracle cap {ORACLE_CAP}")
     solutions = board.solve_classical(args.n)
     if args.format == "json":
-        print(
-            json.dumps({"n": args.n, "solutions": [list(s.cols) for s in solutions]}),
-            file=out,
-        )
+        print(json.dumps({"n": args.n, "solutions": solutions}), file=out)
     else:
         for sol in solutions:
-            print(sol.to_json(), file=out)
+            print(json.dumps({"n": args.n, "cols": sol}), file=out)
         print(f"total: {len(solutions)}", file=out)
     return EXIT_OK
 
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(command=command)
         p.add_argument("n", type=int, help="board size (>= 1)")
-        p.add_argument("--format", choices=("text", "json"), default=default_format)
+        p.add_argument("--format", choices=FORMATS, default=default_format)
         if simulated:
             p.add_argument(
                 "--max-n",
@@ -233,6 +231,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format not in FORMATS:  # argparse checks no default against its choices
+        parser.error(f"{FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, got {args.format!r}")
     if args.n < 1:
         parser.error(f"n must be >= 1, got {args.n}")
     if args.mode == "sample" and args.shots < 1:

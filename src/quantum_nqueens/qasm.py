@@ -130,8 +130,12 @@ def parse_qasm_subset(text: str) -> Circuit:
             raise QasmParseError(lineno, f"unknown gate {m.group('name')!r}")
         if lay is None:
             raise QasmParseError(lineno, "gate statement before qreg declaration")
-        qubits = tuple(map(int, _OPERAND_RE.findall(m.group("operands"))))
-        if max(qubits) >= lay.q_total:
+        try:
+            qubits = tuple(map(int, _OPERAND_RE.findall(m.group("operands"))))
+            in_range = max(qubits) < lay.q_total
+        except ValueError:  # an index past Python's int-to-str digit limit
+            in_range = False
+        if not in_range:
             raise QasmParseError(lineno, f"qubit index out of range for qreg q[{lay.q_total}]")
         theta = None
         if m.group("arg") is not None:

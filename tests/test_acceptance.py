@@ -38,8 +38,8 @@ def test_criterion_1_n4_exhaustive_reproduction(n4_state):
     for amp in state.terms.values():
         assert abs(abs(amp) - 1 / 16) <= 1e-10
 
-    quantum = [s.cols for s in analysis.postselect_solutions(state)]
-    classical = sorted(s.cols for s in board.solve_classical(4))
+    quantum = analysis.postselect_solutions(state)
+    classical = sorted(board.solve_classical(4))
     assert len(quantum) == 2
     assert quantum == classical
 

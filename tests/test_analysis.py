@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from quantum_nqueens import analysis, sim
+from quantum_nqueens import circuit as circuit_mod
 from quantum_nqueens.analysis import (
     PROBABILITY_TOLERANCE,
     EncodingError,
@@ -20,7 +21,7 @@ from quantum_nqueens.analysis import (
     sampling_report,
     verify_against_oracle,
 )
-from quantum_nqueens.board import PermutationVector, is_valid_solution, solve_classical
+from quantum_nqueens.board import is_valid_solution, solve_classical
 from quantum_nqueens.circuit import build_full_circuit, layout
 
 
@@ -199,7 +200,7 @@ class TestAncillaTruth:
 class TestPostselect:
     def test_n4_two_solutions(self):
         state = sim.run(build_full_circuit(4))
-        assert [s.cols for s in postselect_solutions(state)] == [
+        assert postselect_solutions(state) == [
             (1, 3, 0, 2),
             (2, 0, 3, 1),
         ]
@@ -209,7 +210,7 @@ class TestPostselect:
 
     def test_n1_single(self):
         solutions = postselect_solutions(sim.run(build_full_circuit(1)))
-        assert solutions == [PermutationVector(1, (0,))]
+        assert solutions == [(0,)]
 
 
 class TestVerifyAgainstOracle:
@@ -243,6 +244,21 @@ class TestVerifyAgainstOracle:
         assert report.equal and report.census_ok and report.ancilla_mismatches == 0
         assert report.success_probability == pytest.approx(5 / 256, abs=1e-15)
         assert not report.probability_ok
+
+    def test_census_counts_every_gate_kind(self, monkeypatch):
+        # An X; X pair leaves the state and both stage totals unchanged, so
+        # only the per-kind counts can tell this circuit from the closed forms.
+        real_build = circuit_mod.build_full_circuit
+
+        def build_with_x_pair(n):
+            built = real_build(n)
+            pair = (circuit_mod.Gate("X", (0,)),) * 2
+            return circuit_mod.Circuit(built.layout, built.gates + pair)
+
+        monkeypatch.setattr(circuit_mod, "build_full_circuit", build_with_x_pair)
+        report = verify_against_oracle(4)
+        assert report.equal and report.ancilla_mismatches == 0 and report.probability_ok
+        assert report.census_ok is False
 
     def test_json_fields(self):
         obj = json.loads(verify_against_oracle(4).to_json())
@@ -390,8 +406,8 @@ class TestAncillaTruthMatchesCircuit:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_postselection_equals_validity_predicate(self, n):
         state = sim.run(build_full_circuit(n))
-        selected = {s.cols for s in postselect_solutions(state)}
+        selected = set(postselect_solutions(state))
         records = [decode(lbl, state.layout) for lbl, _ in sim.readout(state)]
         valid = {r.cols for r in records if is_valid_solution(r.cols)}
         assert selected == valid
-        assert selected == {s.cols for s in solve_classical(n)}
+        assert selected == set(solve_classical(n))

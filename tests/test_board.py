@@ -92,20 +92,20 @@ class TestSolveClassical:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_solution_counts_brute_force(self, n):
-        assert [s.cols for s in solve_classical(n)] == brute_force_solutions(n)
+        assert solve_classical(n) == brute_force_solutions(n)
 
     def test_sorted_and_deterministic(self):
         sols = solve_classical(6)
-        assert [s.cols for s in sols] == sorted(s.cols for s in sols)
+        assert sols == sorted(sols)
         assert sols == solve_classical(6)
 
     def test_all_outputs_valid(self):
         for sol in solve_classical(7):
-            assert is_valid_solution(sol.cols)
+            assert is_valid_solution(sol)
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_closed_under_180_rotation(self, n):
-        sols = {s.cols for s in solve_classical(n)}
+        sols = set(solve_classical(n))
         for cols in sols:
             assert tuple(n - 1 - c for c in reversed(cols)) in sols
 

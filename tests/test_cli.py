@@ -311,3 +311,17 @@ class TestUsage:
         code, text = invoke(["oracle", "4"])
         assert code == 0
         assert json.loads(text)["n"] == 4
+
+    def test_format_env_var_outside_choices(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "xml")
+        with pytest.raises(SystemExit) as err:
+            invoke(["verify", "2"])
+        assert err.value.code == cli.EXIT_USAGE
+        message = f"{cli.FORMAT_ENV_VAR} must be one of text, json, got 'xml'"
+        assert message in capsys.readouterr().err
+
+    def test_format_option_overrides_env_var(self, monkeypatch):
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "xml")
+        code, text = invoke(["oracle", "4", "--format", "json"])
+        assert code == 0
+        assert json.loads(text)["n"] == 4

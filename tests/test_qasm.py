@@ -180,6 +180,12 @@ class TestParse:
                 id="widening-second-qreg",
             ),
             pytest.param(
+                "OPENQASM 2.0;\nqreg q[25];\nx q[" + "9" * 5000 + "];\n",
+                3,
+                "qubit index out of range for qreg q[25]",
+                id="operand-past-int-digit-limit",
+            ),
+            pytest.param(
                 'OPENQASM 2.0;\ninclude "qelib1.inc";\ncreg c[1];\n',
                 1,
                 "missing qreg declaration",
