@@ -91,6 +91,18 @@ class TestSingleGates:
         state = apply_gate(SparseState(lay, {0: 1.0 + 0j}), Gate("CRY", (0, 1), 1.1))
         assert state.terms == {0: 1.0 + 0j}
 
+    def test_cry_pass_through_leaves_no_negative_zero(self):
+        lay = layout(2)
+        state = SparseState(lay, {0b10: complex(-0.0, -1.0)})
+        (amp,) = apply_gate(state, Gate("CRY", (0, 1), 1.1)).terms.values()
+        assert repr(amp) == "-1j"
+
+    def test_cry_prunes_a_pass_through_term_below_threshold(self):
+        lay = layout(2)
+        state = SparseState(lay, {0b01: 1.0 + 0j, 0b10: 1e-13 + 0j})
+        state = apply_gate(state, Gate("CRY", (0, 1), 1.1))
+        assert set(state.terms) == {0b01, 0b11}
+
     def test_cry_active_control(self):
         lay = layout(2)
         theta = 1.1
