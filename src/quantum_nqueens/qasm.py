@@ -119,7 +119,12 @@ def parse_qasm_subset(text: str) -> Circuit:
                 if lay is not None:
                     raise QasmParseError(lineno, "second qreg declaration")
                 try:
-                    lay = _layout_for_qubits(int(m_qreg.group(1)))
+                    q_total = int(m_qreg.group(1))
+                except ValueError:  # a width past Python's int-to-str digit limit
+                    message = "qreg width does not match any board size"
+                    raise QasmParseError(lineno, message) from None
+                try:
+                    lay = _layout_for_qubits(q_total)
                 except ValueError as exc:
                     raise QasmParseError(lineno, str(exc)) from None
                 continue

@@ -10,10 +10,12 @@ whose controls are all set:
 
 - X/CX/CCX XOR the target bit and CZ negates the amplitude, both without
   floating-point arithmetic, so they are bit-exact;
-- H/RY/CRY split each term into its lo/hi halves by the gate's real 2x2
-  matrix. The halves and the pass-through terms are sorted together by a
-  lexsort over the word columns, each run of equal labels is summed with
-  `np.add.reduceat`, and sums below 1e-12 magnitude are pruned.
+- H/RY/CRY act by the gate's real 2x2 matrix on each pair of active terms
+  whose labels differ only in the target bit. One lexsort of the active
+  labels with that bit cleared puts each term next to its partner, if it has
+  one, so every output label gets at most two contributions and no sum
+  depends on term order. The terms whose controls are unset pass through
+  unchanged, and every result below 1e-12 magnitude is pruned.
 
 Readout order is the qubit-0-first bitstring order, which is the numeric order
 of the bit-reversed label: a lexsort over the bit-reversed words, with no
@@ -133,17 +135,27 @@ def _all_set(labels: np.ndarray, qubits) -> np.ndarray:
     return rows
 
 
-def _merge(labels: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the amplitudes of equal labels and prune sums below the threshold."""
-    order = np.lexsort(labels.T)
-    labels, amps = labels[order], amps[order]
-    starts = np.ones(len(amps), dtype=bool)
-    starts[1:] = (labels[1:] != labels[:-1]).any(axis=1)
-    starts = np.flatnonzero(starts)
-    # Adding 0.0 turns -0.0 parts into 0.0, so readouts never print "-0.0".
-    labels, amps = labels[starts], np.add.reduceat(amps, starts) + 0.0
-    kept = np.abs(amps) >= PRUNE_THRESHOLD
-    return labels[kept], amps[kept]
+def _pair_partners(
+    labels: np.ndarray, amps: np.ndarray, active: np.ndarray, word: int, bit: np.uint64
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair up the active terms whose labels differ only in the target bit.
+
+    Returns each distinct active label with the target bit cleared, once, and
+    the amplitudes of its bit-clear and bit-set terms (0 where absent).
+    """
+    keys, amps = labels.compress(active, axis=0), amps.compress(active)
+    one = keys[:, word] & bit != 0
+    keys[:, word] &= ~bit
+    order = np.lexsort(keys.T)
+    keys, amps, one = keys[order], amps[order], one[order]
+    # Labels are unique, so a run of equal keys is one term or a term and its
+    # partner: the first and last row of a run hold both members.
+    edges = np.ones(len(amps) + 1, dtype=bool)
+    edges[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
+    first, last = np.flatnonzero(edges[:-1]), np.flatnonzero(edges[1:])
+    partner = np.where(last != first, amps[last], 0)
+    swap, amps = one[first], amps[first]
+    return keys[first], np.where(swap, partner, amps), np.where(swap, amps, partner)
 
 
 def apply_gate(state: SparseState, gate: Gate) -> SparseState:
@@ -152,28 +164,30 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     if any(q >= state.layout.q_total for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for {state.layout.q_total} qubits")
     *controls, target = gate.qubits
-    word, bit = target // WORD_BITS, np.uint64(1 << target % WORD_BITS)
+    word, shift = target // WORD_BITS, np.uint64(target % WORD_BITS)
+    bit = np.uint64(1) << shift
     labels, amps = state.labels, state.amps
 
     if gate.kind in _PERMUTE:
+        flip = np.uint64(1)
+        for q in controls:
+            flip = flip & labels[:, q // WORD_BITS] >> np.uint64(q % WORD_BITS)
         labels = labels.copy()
-        labels[_all_set(labels, controls), word] ^= bit
+        labels[:, word] ^= (flip & np.uint64(1)) << shift
     elif gate.kind in _PHASE:
         amps = np.where(_all_set(labels, gate.qubits), -amps, amps)
     elif gate.kind in _SPLIT:
         m00, m01, m10, m11 = _split_matrix(gate)
         active = _all_set(labels, controls)
-        split, a = labels[active], amps[active]
-        one = split[:, word] & bit != 0
-        lo, hi = split.copy(), split.copy()
-        lo[:, word] &= ~bit
+        lo, a0, a1 = _pair_partners(labels, amps, active, word, bit)
+        hi = lo.copy()
         hi[:, word] |= bit
-        labels, amps = _merge(
-            np.concatenate((labels[~active], lo, hi)),
-            np.concatenate(
-                (amps[~active], np.where(one, m01, m00) * a, np.where(one, m11, m10) * a)
-            ),
-        )
+        # Pass-through terms collide with no output, so they are only pruned.
+        labels = np.concatenate((labels.compress(~active, axis=0), lo, hi))
+        amps = np.concatenate((amps.compress(~active), m00 * a0 + m01 * a1, m10 * a0 + m11 * a1))
+        amps += 0.0  # turns -0.0 parts into 0.0, so readouts never print "-0.0"
+        kept = np.flatnonzero(np.abs(amps) >= PRUNE_THRESHOLD)
+        labels, amps = labels[kept], amps[kept]
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     return SparseState._from_arrays(state.layout, labels, amps)

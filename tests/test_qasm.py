@@ -168,6 +168,12 @@ class TestParse:
                 id="empty-qreg",
             ),
             pytest.param(
+                "OPENQASM 2.0;\nqreg q[" + "9" * 5000 + "];\n",
+                2,
+                "qreg width does not match any board size",
+                id="qreg-width-past-int-digit-limit",
+            ),
+            pytest.param(
                 "OPENQASM 2.0;\nqreg q[25];\nx q[20];\nqreg q[1];\n",
                 4,
                 "second qreg declaration",
