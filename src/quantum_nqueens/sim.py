@@ -152,7 +152,7 @@ def _pair_partners(
     # partner: the first and last row of a run hold both members.
     edges = np.ones(len(amps) + 1, dtype=bool)
     edges[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
-    first, last = np.flatnonzero(edges[:-1]), np.flatnonzero(edges[1:])
+    first, last = edges[:-1].nonzero()[0], edges[1:].nonzero()[0]
     partner = np.where(last != first, amps[last], 0)
     swap, amps = one[first], amps[first]
     return keys[first], np.where(swap, partner, amps), np.where(swap, amps, partner)
@@ -169,25 +169,26 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     labels, amps = state.labels, state.amps
 
     if gate.kind in _PERMUTE:
-        flip = np.uint64(1)
-        for q in controls:
-            flip = flip & labels[:, q // WORD_BITS] >> np.uint64(q % WORD_BITS)
+        flip = _all_set(labels, controls).astype(np.uint64)
         labels = labels.copy()
-        labels[:, word] ^= (flip & np.uint64(1)) << shift
+        labels[:, word] ^= flip << shift
     elif gate.kind in _PHASE:
         amps = np.where(_all_set(labels, gate.qubits), -amps, amps)
     elif gate.kind in _SPLIT:
         m00, m01, m10, m11 = _split_matrix(gate)
         active = _all_set(labels, controls)
+        passed = ~active
         lo, a0, a1 = _pair_partners(labels, amps, active, word, bit)
         hi = lo.copy()
         hi[:, word] |= bit
         # Pass-through terms collide with no output, so they are only pruned.
-        labels = np.concatenate((labels.compress(~active, axis=0), lo, hi))
-        amps = np.concatenate((amps.compress(~active), m00 * a0 + m01 * a1, m10 * a0 + m11 * a1))
+        labels = np.concatenate((labels.compress(passed, axis=0), lo, hi))
+        amps = np.concatenate((amps.compress(passed), m00 * a0 + m01 * a1, m10 * a0 + m11 * a1))
         amps += 0.0  # turns -0.0 parts into 0.0, so readouts never print "-0.0"
-        kept = np.flatnonzero(np.abs(amps) >= PRUNE_THRESHOLD)
-        labels, amps = labels[kept], amps[kept]
+        kept = np.abs(amps) >= PRUNE_THRESHOLD
+        if not kept.all():
+            kept = kept.nonzero()[0]
+            labels, amps = labels[kept], amps[kept]
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     return SparseState._from_arrays(state.layout, labels, amps)
