@@ -87,7 +87,7 @@ def test_dense_circuit_matches_the_dict_engine_exactly_gate_by_gate(seed):
 
 
 # layout(7) has 76 qubits; qubits 60..67 straddle the boundary of words 0 and 1.
-WIDE_LAYOUT = 7
+WIDE_N = 7
 WINDOW = tuple(range(60, 68))
 ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
 
@@ -121,12 +121,12 @@ def test_one_gate_on_a_two_word_window_matches_the_dict_engine_exactly(kind, dat
     qubits = tuple(data.draw(st.permutations(WINDOW))[: ARITY[kind]])
     theta = data.draw(st.floats(-math.pi, math.pi)) if kind in ("RY", "CRY") else None
     terms = data.draw(window_terms(qubits[-1]))
-    dict_lay = quantum_nqueens_seed.circuit.layout(WIDE_LAYOUT)
+    dict_lay = quantum_nqueens_seed.circuit.layout(WIDE_N)
     expected = dict_engine.apply_gate(
         dict_engine.SparseState(dict_lay, dict(terms)),
         quantum_nqueens_seed.circuit.Gate(kind, qubits, theta),
     )
     state = sim.apply_gate(
-        sim.SparseState(circuit.layout(WIDE_LAYOUT), terms), circuit.Gate(kind, qubits, theta)
+        sim.SparseState(circuit.layout(WIDE_N), terms), circuit.Gate(kind, qubits, theta)
     )
     assert_identical_state(expected, state)
