@@ -9,6 +9,7 @@ prediction `ancilla_truth`.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -47,10 +48,8 @@ def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
         if block.bit_count() != 1:
             raise EncodingError(f"row {r} holds {block.bit_count()} queens, expected 1")
         cols.append(block.bit_length() - 1)
-    anc = label >> layout.n_system
-    col_anc = tuple(anc >> c & 1 for c in range(layout.n_col_anc))
-    diag_anc = tuple(anc >> (layout.n_col_anc + k) & 1 for k in range(layout.n_diag_anc))
-    return OutcomeRecord(cols=tuple(cols), col_anc=col_anc, diag_anc=diag_anc)
+    anc = tuple(label >> q & 1 for q in range(layout.n_system, layout.q_total))
+    return OutcomeRecord(cols=tuple(cols), col_anc=anc[: n - 1], diag_anc=anc[n - 1 :])
 
 
 def decode_rows(
@@ -60,35 +59,24 @@ def decode_rows(
 
     Returns the (N, n) queen columns, -1 where a row's block does not hold
     exactly one queen, and the (N, n-1) column- and (N, n(n-1)/2)
-    diagonal-ancilla bits as uint8. Every qubit is read on its own from its
-    word, so labels wider than one word decode the same way.
+    diagonal-ancilla bits as uint8. Each qubit is read with the engine's own
+    bit test, so labels of any word width decode the same way.
     """
     n, count = layout.n, len(labels)
-
-    def bit(q: int) -> np.ndarray:
-        word, shift = divmod(q, sim_mod.WORD_BITS)
-        return (labels[:, word] >> np.uint64(shift) & np.uint64(1)).astype(np.uint8)
-
     cols = np.empty((count, n), dtype=np.min_scalar_type(-n))
     for r in range(n):
         col = np.zeros(count, dtype=cols.dtype)
         queens = np.zeros(count, dtype=np.min_scalar_type(n))
         for c in range(n):
-            b = bit(layout.system_qubit(r, c))
-            col[b == 1] = c
+            b = sim_mod._all_set(labels, (layout.system_qubit(r, c),))
+            col[b] = c
             queens += b
         cols[:, r] = np.where(queens == 1, col, -1)
 
-    def bits(qubits: range) -> np.ndarray:
-        out = np.empty((count, len(qubits)), dtype=np.uint8)
-        for j, q in enumerate(qubits):
-            out[:, j] = bit(q)
-        return out
-
-    diag = layout.n_system + layout.n_col_anc
-    col_anc = bits(range(layout.n_system, diag))
-    diag_anc = bits(range(diag, diag + layout.n_diag_anc))
-    return cols, col_anc, diag_anc
+    anc = np.empty((count, layout.q_total - layout.n_system), dtype=np.uint8)
+    for j, q in enumerate(range(layout.n_system, layout.q_total)):
+        anc[:, j] = sim_mod._all_set(labels, (q,))
+    return cols, anc[:, : n - 1], anc[:, n - 1 :]
 
 
 def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
@@ -110,17 +98,15 @@ def ancilla_truth(cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 
     Column ancilla c reads the parity of column c's queen count; diagonal
     ancilla for row pair (i, j) reads 0 iff those rows' queens share a
-    diagonal.
+    diagonal. The diagonal ancillas k = 1, 2, ... hold the row pairs in
+    lexicographic (i, j) order.
     """
     n = len(cols)
     col_bits = tuple(cols.count(c) % 2 for c in range(n - 1))
-    diag_bits = [1] * (n * (n - 1) // 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if board_mod.is_diagonal(i, cols[i], j, cols[j]):
-                k = circuit_mod.ancilla_index(i + 1, j + 1, n)
-                diag_bits[k - 1] = 0
-    return col_bits, tuple(diag_bits)
+    diag_bits = tuple(
+        int(abs(cols[i] - cols[j]) != j - i) for i, j in itertools.combinations(range(n), 2)
+    )
+    return col_bits, diag_bits
 
 
 def postselect_solutions(state: SparseState) -> list[tuple[int, ...]]:
@@ -226,8 +212,8 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     bad = (cols < 0).any(axis=1)
     if bad.any():
         first = positions[np.isin(positions, hit[bad])][0]
-        label = state.labels[order[first]].astype("<u8").tobytes()
-        decode(int.from_bytes(label, "little"), state.layout)  # raises
+        label = sim_mod._to_ints(state.labels[order[[first]]])[0]
+        decode(label, state.layout)  # raises
     solution = col_anc.all(axis=1) & diag_anc.all(axis=1)
 
     chi_square = p_value = None

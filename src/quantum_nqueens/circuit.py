@@ -36,6 +36,8 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubits")
+        if min(self.qubits) < 0:
+            raise ValueError("gate operands must be non-negative")
         if arity > 1 and len(set(self.qubits)) != arity:
             raise ValueError("gate operands must be distinct")
         if self.kind in _PARAMETRIC:

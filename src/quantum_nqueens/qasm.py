@@ -76,7 +76,7 @@ _GATE_RE = re.compile(
 _OPERAND_RE = re.compile(r"q\[(\d+)\]")
 _QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
 _CREG_RE = re.compile(r"^creg\s+\w+\[(\d+)\]\s*;$")
-_MEASURE_RE = re.compile(r"^measure\s+q\[\d+\]\s*->\s*\w+\[\d+\]\s*;$")
+_MEASURE_RE = re.compile(r"^measure\s+(?P<operands>q\[\d+\])\s*->\s*\w+\[\d+\]\s*;$")
 
 _PARSE_KINDS = {"x": "X", "h": "H", "ry": "RY", "cx": "CX", "cz": "CZ", "ccx": "CCX"}
 
@@ -112,7 +112,7 @@ def parse_qasm_subset(text: str) -> Circuit:
         m = _GATE_RE.match(line)
         kind = _PARSE_KINDS.get(m.group("name")) if m else None
         if kind is None:
-            if line == "OPENQASM 2.0;" or line.startswith("include"):
+            if line in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
                 continue
             m_qreg = _QREG_RE.match(line)
             if m_qreg:
@@ -128,13 +128,17 @@ def parse_qasm_subset(text: str) -> Circuit:
                 except ValueError as exc:
                     raise QasmParseError(lineno, str(exc)) from None
                 continue
-            if _CREG_RE.match(line) or _MEASURE_RE.match(line):
+            if _CREG_RE.match(line):
                 continue
-            if not m:
-                raise QasmParseError(lineno, f"unrecognized statement: {line!r}")
-            raise QasmParseError(lineno, f"unknown gate {m.group('name')!r}")
+            m_measure = _MEASURE_RE.match(line)
+            if m_measure is None:
+                if not m:
+                    raise QasmParseError(lineno, f"unrecognized statement: {line!r}")
+                raise QasmParseError(lineno, f"unknown gate {m.group('name')!r}")
+            m = m_measure
         if lay is None:
-            raise QasmParseError(lineno, "gate statement before qreg declaration")
+            statement = "measure" if kind is None else "gate statement"
+            raise QasmParseError(lineno, f"{statement} before qreg declaration")
         try:
             qubits = tuple(map(int, _OPERAND_RE.findall(m.group("operands"))))
             in_range = max(qubits) < lay.q_total
@@ -142,6 +146,8 @@ def parse_qasm_subset(text: str) -> Circuit:
             in_range = False
         if not in_range:
             raise QasmParseError(lineno, f"qubit index out of range for qreg q[{lay.q_total}]")
+        if kind is None:  # a measure reads its qubit and adds no gate
+            continue
         theta = None
         if m.group("arg") is not None:
             try:

@@ -230,7 +230,7 @@ def sample_rows(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, 
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     norm = state.norm_squared()
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also refuses a NaN norm
         raise StateNormError(f"state norm^2 = {norm!r}, expected 1")
 
     order = _readout_order(state)

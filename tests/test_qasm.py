@@ -197,6 +197,30 @@ class TestParse:
                 "missing qreg declaration",
                 id="missing-qreg",
             ),
+            pytest.param(
+                "OPENQASM 2.0;\nincludexyz junk\nqreg q[1];\n",
+                2,
+                "unrecognized statement: 'includexyz junk'",
+                id="include-prefix",
+            ),
+            pytest.param(
+                'OPENQASM 2.0;\ninclude "other.inc";\nqreg q[1];\n',
+                2,
+                "unrecognized statement: 'include \"other.inc\";'",
+                id="other-include",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nmeasure q[7] -> c[9];\n",
+                3,
+                "qubit index out of range for qreg q[1]",
+                id="measure-past-qreg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nmeasure q[0] -> c[0];\nqreg q[1];\n",
+                2,
+                "measure before qreg declaration",
+                id="measure-before-qreg",
+            ),
         ],
     )
     def test_error_names_line_and_message(self, text, lineno, message):

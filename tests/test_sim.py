@@ -305,6 +305,11 @@ class TestSample:
         with pytest.raises(StateNormError):
             sample(state, 1, seed=0)
 
+    def test_rejects_nan_norm(self):
+        state = SparseState(layout(2), {0: complex("nan"), 1: 0.5 + 0j})
+        with pytest.raises(StateNormError):
+            sample(state, 5, seed=1)
+
     def test_rows_index_the_readout_order(self):
         state = run(build_full_circuit(4))
         order, positions = sample_rows(state, 310, seed=3)
