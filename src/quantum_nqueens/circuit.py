@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .board import diagonal_pairs
 
 _ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
-GATE_KINDS = set(_ARITY)
 _PARAMETRIC = {"RY", "CRY"}
 
 

@@ -75,8 +75,8 @@ _GATE_RE = re.compile(
 )
 _OPERAND_RE = re.compile(r"q\[(\d+)\]")
 _QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
-_CREG_RE = re.compile(r"^creg\s+\w+\[(\d+)\]\s*;$")
-_MEASURE_RE = re.compile(r"^measure\s+(?P<operands>q\[\d+\])\s*->\s*\w+\[\d+\]\s*;$")
+_CREG_RE = re.compile(r"^creg\s+(?P<name>\w+)\[(?P<width>\d+)\]\s*;$")
+_MEASURE_RE = re.compile(r"^measure\s+(?P<operands>q\[\d+\])\s*->\s*\w+\[(?P<bit>\d+)\]\s*;$")
 
 _PARSE_KINDS = {"x": "X", "h": "H", "ry": "RY", "cx": "CX", "cz": "CZ", "ccx": "CCX"}
 
@@ -100,8 +100,10 @@ def parse_qasm_subset(text: str) -> Circuit:
 
     CRY is left in its decomposed ry/cx form (unitarily identical). Anything
     outside the emitted subset raises QasmParseError with the line number.
+    A measure's bit must lie in the one declared creg; its name is not checked.
     """
     lay: RegisterLayout | None = None
+    creg: tuple[str, int] | None = None
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = (raw.split("//")[0] if "//" in raw else raw).strip()
@@ -128,7 +130,14 @@ def parse_qasm_subset(text: str) -> Circuit:
                 except ValueError as exc:
                     raise QasmParseError(lineno, str(exc)) from None
                 continue
-            if _CREG_RE.match(line):
+            m_creg = _CREG_RE.match(line)
+            if m_creg:
+                if creg is not None:
+                    raise QasmParseError(lineno, "second creg declaration")
+                try:
+                    creg = m_creg.group("name"), int(m_creg.group("width"))
+                except ValueError:  # a width past Python's int-to-str digit limit
+                    raise QasmParseError(lineno, "creg width too large") from None
                 continue
             m_measure = _MEASURE_RE.match(line)
             if m_measure is None:
@@ -146,7 +155,16 @@ def parse_qasm_subset(text: str) -> Circuit:
             in_range = False
         if not in_range:
             raise QasmParseError(lineno, f"qubit index out of range for qreg q[{lay.q_total}]")
-        if kind is None:  # a measure reads its qubit and adds no gate
+        if kind is None:  # a measure reads its qubit into a bit and adds no gate
+            if creg is None:
+                raise QasmParseError(lineno, "measure before creg declaration")
+            name, width = creg
+            try:
+                in_range = int(m.group("bit")) < width
+            except ValueError:  # an index past Python's int-to-str digit limit
+                in_range = False
+            if not in_range:
+                raise QasmParseError(lineno, f"bit index out of range for creg {name}[{width}]")
             continue
         theta = None
         if m.group("arg") is not None:

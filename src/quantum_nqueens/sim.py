@@ -41,8 +41,6 @@ RNG_ALGORITHM = "PCG64"
 WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-# Byte b with its eight bits in reverse order.
-_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 class StateNormError(ValueError):
@@ -206,10 +204,10 @@ def _readout_order(state: SparseState) -> np.ndarray:
     """Indices of the terms at or above the prune threshold, sorted by their
     qubit-0-first bitstrings."""
     kept = np.flatnonzero(np.abs(state.amps) >= PRUNE_THRESHOLD)
-    # Reversing each byte's bits and the byte order of a word reverses its bits.
+    # Unpacking qubit-0-first and repacking MSB-first puts qubit 0 at the top
+    # of big-endian word 0, qubit 64 at the top of word 1, and so on.
     octets = np.ascontiguousarray(state.labels[kept], dtype="<u8").view(np.uint8)
-    rev = _BYTE_REVERSED[octets].reshape(len(kept), state.labels.shape[1], 8)[:, :, ::-1]
-    rev = np.ascontiguousarray(rev).view("<u8")[:, :, 0]
+    rev = np.packbits(np.unpackbits(octets, axis=1, bitorder="little"), axis=1).view(">u8")
     # lexsort's primary key is its last: reversed word 0, then word 1, ...
     return kept[np.lexsort(rev.T[::-1])]
 

@@ -284,15 +284,32 @@ class TestExportQasm:
         assert "669166498 gates" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy():
+@pytest.mark.parametrize(
+    "probe, expected",
+    [
+        pytest.param(
+            "import sys, quantum_nqueens.cli; print('scipy' in sys.modules)",
+            "False\n",
+            id="import",
+        ),
+        # sample loads only scipy.special, for the chi-square survival function.
+        pytest.param(
+            "import io, sys, quantum_nqueens.cli as cli; "
+            "cli.main(['sample', '4'], out=io.StringIO()); "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)",
+            "False True\n",
+            id="sample",
+        ),
+    ],
+)
+def test_cli_import_does_not_load_scipy(probe, expected):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    probe = "import sys, quantum_nqueens.cli; print('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == expected
 
 
 class TestUsage:

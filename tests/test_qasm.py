@@ -221,6 +221,36 @@ class TestParse:
                 "measure before qreg declaration",
                 id="measure-before-qreg",
             ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nmeasure q[0] -> zz[5];\n",
+                3,
+                "measure before creg declaration",
+                id="measure-before-creg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\ncreg c[7];\n",
+                4,
+                "second creg declaration",
+                id="second-creg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0] -> c[3];\n",
+                4,
+                "bit index out of range for creg c[1]",
+                id="measure-past-creg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0] -> c[" + "9" * 5000 + "];\n",
+                4,
+                "bit index out of range for creg c[1]",
+                id="bit-index-past-int-digit-limit",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\ncreg c[" + "9" * 5000 + "];\n",
+                3,
+                "creg width too large",
+                id="creg-width-past-int-digit-limit",
+            ),
         ],
     )
     def test_error_names_line_and_message(self, text, lineno, message):

@@ -259,12 +259,16 @@ class TestMultiwordLabels:
         with pytest.raises(ValueError):
             SparseState(self.LAYOUT, {label: 1.0 + 0j})
 
+    # layout(10) has 154 qubits: three words, so two word boundaries.
+    @pytest.mark.parametrize("lay", [LAYOUT, layout(10)], ids=["2-words", "3-words"])
     @settings(max_examples=100, deadline=None)
-    @given(labels=st.sets(st.integers(0, 2**76 - 1), min_size=1, max_size=30))
-    def test_readout_sorts_by_bitstring(self, labels):
-        rows = readout(SparseState(self.LAYOUT, dict.fromkeys(labels, 0.5 + 0j)))
-        strings = [bitstring(lbl, 76) for lbl, _ in rows]
-        assert strings == sorted(bitstring(lbl, 76) for lbl in labels)
+    @given(data=st.data())
+    def test_readout_sorts_by_bitstring(self, lay, data):
+        width = lay.q_total
+        labels = data.draw(st.sets(st.integers(0, 2**width - 1), min_size=1, max_size=30))
+        rows = readout(SparseState(lay, dict.fromkeys(labels, 0.5 + 0j)))
+        strings = [bitstring(lbl, width) for lbl, _ in rows]
+        assert strings == sorted(bitstring(lbl, width) for lbl in labels)
 
     def test_sample_returns_wide_labels(self):
         terms = {2**75: 0.6 + 0j, 2**64 + 5: 0.8 + 0j}
