@@ -38,26 +38,25 @@ def solve_classical(n: int) -> list[tuple[int, ...]]:
     """All N-Queens solutions by row-by-row backtracking, sorted: columns are tried in order."""
     if n < 1:
         raise ValueError(f"board size must be >= 1, got {n}")
+    full = (1 << n) - 1
     solutions: list[tuple[int, ...]] = []
     cols: list[int] = []
-    used_cols = set()
 
-    def place(row: int) -> None:
-        if row == n:
+    def place(used: int, left: int, right: int) -> None:
+        # Bit c marks column c as taken (used) or attacked along a diagonal from the
+        # rows above (left, right); the diagonal masks move one column per row.
+        if used == full:
             solutions.append(tuple(cols))
             return
-        for c in range(n):
-            if c in used_cols:
-                continue
-            if any(abs(cols[r] - c) == row - r for r in range(row)):
-                continue
-            cols.append(c)
-            used_cols.add(c)
-            place(row + 1)
+        free = full & ~(used | left | right)
+        while free:
+            bit = free & -free  # the lowest free column first keeps the output sorted
+            free ^= bit
+            cols.append(bit.bit_length() - 1)
+            place(used | bit, (left | bit) << 1, (right | bit) >> 1)
             cols.pop()
-            used_cols.remove(c)
 
-    place(0)
+    place(0, 0, 0)
     return solutions
 
 

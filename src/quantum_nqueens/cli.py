@@ -30,7 +30,7 @@ CLOSED_FORM_CAP = 10**6
 BUILD_GATE_CAP = 10**6
 # Sampling holds every shot in memory (about 16 bytes each), so more are refused.
 SHOTS_CAP = 10**7
-# Backtracking grows about 5x per board size (5 to 7 s at n=12), so larger boards are refused.
+# Backtracking grows about 5x per board size (0.6 to 0.8 s at n=12), so larger boards are refused.
 ORACLE_CAP = 12
 
 

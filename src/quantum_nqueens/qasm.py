@@ -8,6 +8,7 @@ unitarily equal to the controlled rotation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 from dataclasses import dataclass
@@ -70,13 +71,14 @@ def export_qasm(circuit: Circuit) -> QasmDocument:
     return QasmDocument(text="\n".join(lines) + "\n", gate_line_count=gate_count)
 
 
+# (?a) makes \d and \w ASCII-only, so int() never reads another script's digits.
 _GATE_RE = re.compile(
-    r"^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[\d+\](?:\s*,\s*q\[\d+\])*)\s*;$"
+    r"(?a)^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[\d+\](?:\s*,\s*q\[\d+\])*)\s*;$"
 )
-_OPERAND_RE = re.compile(r"q\[(\d+)\]")
-_QREG_RE = re.compile(r"^qreg\s+q\[(\d+)\]\s*;$")
-_CREG_RE = re.compile(r"^creg\s+(?P<name>\w+)\[(?P<width>\d+)\]\s*;$")
-_MEASURE_RE = re.compile(r"^measure\s+(?P<operands>q\[\d+\])\s*->\s*\w+\[(?P<bit>\d+)\]\s*;$")
+_OPERAND_RE = re.compile(r"(?a)q\[(\d+)\]")
+_QREG_RE = re.compile(r"(?a)^qreg\s+q\[(\d+)\]\s*;$")
+_CREG_RE = re.compile(r"(?a)^creg\s+(?P<name>\w+)\[(?P<width>\d+)\]\s*;$")
+_MEASURE_RE = re.compile(r"(?a)^measure\s+(?P<operands>q\[\d+\])\s*->\s*(?P<reg>\w+)\[(?P<bit>\d+)\]\s*;$")
 
 _PARSE_KINDS = {"x": "X", "h": "H", "ry": "RY", "cx": "CX", "cz": "CZ", "ccx": "CCX"}
 
@@ -95,12 +97,28 @@ def _layout_for_qubits(q_total: int) -> RegisterLayout:
     return lay
 
 
+def _int(digits: str, message: str) -> int:
+    """int(digits), or ValueError(message) past Python's int-to-str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(message) from None
+
+
+def _angle(text: str) -> float:
+    """A QASM real: what float() reads, but ASCII and with no PEP 515 digit separator."""
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise ValueError(f"bad angle {text!r}")
+
+
 def parse_qasm_subset(text: str) -> Circuit:
     """Parse text produced by export_qasm back into a Circuit.
 
     CRY is left in its decomposed ry/cx form (unitarily identical). Anything
     outside the emitted subset raises QasmParseError with the line number.
-    A measure's bit must lie in the one declared creg; its name is not checked.
+    A measure must write a bit of the one declared creg.
     """
     lay: RegisterLayout | None = None
     creg: tuple[str, int] | None = None
@@ -109,72 +127,50 @@ def parse_qasm_subset(text: str) -> Circuit:
         line = (raw.split("//")[0] if "//" in raw else raw).strip()
         if not line:
             continue
-        # Gate statements are most of an export, so they are matched first; a
-        # line naming a supported gate cannot be any other statement.
-        m = _GATE_RE.match(line)
-        kind = _PARSE_KINDS.get(m.group("name")) if m else None
-        if kind is None:
-            if line in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
-                continue
-            m_qreg = _QREG_RE.match(line)
-            if m_qreg:
-                if lay is not None:
-                    raise QasmParseError(lineno, "second qreg declaration")
-                try:
-                    q_total = int(m_qreg.group(1))
-                except ValueError:  # a width past Python's int-to-str digit limit
+        try:
+            # Gates, most of an export, are matched first; a known gate name is no other statement.
+            m = _GATE_RE.match(line)
+            kind = _PARSE_KINDS.get(m["name"]) if m else None
+            if kind is None:
+                if line in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
+                    continue
+                if m_qreg := _QREG_RE.match(line):
+                    if lay is not None:
+                        raise ValueError("second qreg declaration")
                     message = "qreg width does not match any board size"
-                    raise QasmParseError(lineno, message) from None
-                try:
-                    lay = _layout_for_qubits(q_total)
-                except ValueError as exc:
-                    raise QasmParseError(lineno, str(exc)) from None
-                continue
-            m_creg = _CREG_RE.match(line)
-            if m_creg:
-                if creg is not None:
-                    raise QasmParseError(lineno, "second creg declaration")
-                try:
-                    creg = m_creg.group("name"), int(m_creg.group("width"))
-                except ValueError:  # a width past Python's int-to-str digit limit
-                    raise QasmParseError(lineno, "creg width too large") from None
-                continue
-            m_measure = _MEASURE_RE.match(line)
-            if m_measure is None:
-                if not m:
-                    raise QasmParseError(lineno, f"unrecognized statement: {line!r}")
-                raise QasmParseError(lineno, f"unknown gate {m.group('name')!r}")
-            m = m_measure
-        if lay is None:
-            statement = "measure" if kind is None else "gate statement"
-            raise QasmParseError(lineno, f"{statement} before qreg declaration")
-        try:
-            qubits = tuple(map(int, _OPERAND_RE.findall(m.group("operands"))))
-            in_range = max(qubits) < lay.q_total
-        except ValueError:  # an index past Python's int-to-str digit limit
-            in_range = False
-        if not in_range:
-            raise QasmParseError(lineno, f"qubit index out of range for qreg q[{lay.q_total}]")
-        if kind is None:  # a measure reads its qubit into a bit and adds no gate
-            if creg is None:
-                raise QasmParseError(lineno, "measure before creg declaration")
-            name, width = creg
+                    lay = _layout_for_qubits(_int(m_qreg[1], message))
+                    continue
+                if m_creg := _CREG_RE.match(line):
+                    if creg is not None:
+                        raise ValueError("second creg declaration")
+                    creg = m_creg["name"], _int(m_creg["width"], "creg width too large")
+                    continue
+                if m:  # no gate line is also a measure: that needs "->"
+                    raise ValueError(f"unknown gate {m['name']!r}")
+                m = _MEASURE_RE.match(line)
+                if m is None:
+                    raise ValueError(f"unrecognized statement: {line!r}")
+            if lay is None:
+                statement = "measure" if kind is None else "gate statement"
+                raise ValueError(f"{statement} before qreg declaration")
             try:
-                in_range = int(m.group("bit")) < width
-            except ValueError:  # an index past Python's int-to-str digit limit
-                in_range = False
-            if not in_range:
-                raise QasmParseError(lineno, f"bit index out of range for creg {name}[{width}]")
-            continue
-        theta = None
-        if m.group("arg") is not None:
-            try:
-                theta = float(m.group("arg"))
-            except ValueError:
-                raise QasmParseError(lineno, f"bad angle {m.group('arg')!r}") from None
-        try:
-            gates.append(Gate(kind, qubits, theta))
-        except ValueError as exc:
+                qubits = tuple(map(int, _OPERAND_RE.findall(m["operands"])))
+            except ValueError:  # past Python's int-to-str digit limit, so past any qreg
+                qubits = (lay.q_total,)
+            if max(qubits) >= lay.q_total:
+                raise ValueError(f"qubit index out of range for qreg q[{lay.q_total}]")
+            if kind is None:  # a measure reads its qubit into a bit and adds no gate
+                if creg is None:
+                    raise ValueError("measure before creg declaration")
+                name, width = creg
+                if m["reg"] != name:
+                    raise ValueError(f"measure into undeclared creg {m['reg']!r}")
+                message = f"bit index out of range for creg {name}[{width}]"
+                if _int(m["bit"], message) >= width:
+                    raise ValueError(message)
+                continue
+            gates.append(Gate(kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
+        except ValueError as exc:  # every rule above raises a plain ValueError
             raise QasmParseError(lineno, str(exc)) from None
     if lay is None:
         raise QasmParseError(1, "missing qreg declaration")

@@ -13,8 +13,9 @@ from quantum_nqueens.board import (
 )
 from quantum_nqueens.circuit import layout
 
-# Computed by brute force over all n! permutations (see test_solution_counts_brute_force).
-KNOWN_SOLUTION_COUNTS = {1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92}
+# OEIS A000170; n <= 8 was also computed by brute force over all n! permutations
+# (see test_solution_counts_brute_force).
+KNOWN_SOLUTION_COUNTS = {1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724}
 
 
 def brute_force_solutions(n):

@@ -251,6 +251,36 @@ class TestParse:
                 "creg width too large",
                 id="creg-width-past-int-digit-limit",
             ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0] -> zz[0];\n",
+                4,
+                "measure into undeclared creg 'zz'",
+                id="measure-into-other-creg",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[\u0662\u0665];\n",
+                2,
+                "unrecognized statement: 'qreg q[\u0662\u0665];'",
+                id="non-ascii-qreg-width",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[25];\nx q[\u0663];\n",
+                3,
+                "unrecognized statement: 'x q[\u0663];'",
+                id="non-ascii-operand",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nry(1_0) q[0];\n",
+                3,
+                "bad angle '1_0'",
+                id="angle-with-digit-separator",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[1];\nry(\u0661) q[0];\n",
+                3,
+                "bad angle '\u0661'",
+                id="non-ascii-angle",
+            ),
         ],
     )
     def test_error_names_line_and_message(self, text, lineno, message):
@@ -297,7 +327,7 @@ class TestParse:
             "OPENQASM 2.0;\n"
             'include "qelib1.inc";\n'
             "qreg q[6];  // a comment\n"
-            "creg q[6];\n"
+            "creg c[6];\n"
             "measure q[0] -> c[0];\n"
             "x q[1];\n"
             "ccx q[0], q[1] ,q[2] ;\n"
