@@ -2,9 +2,11 @@
 
 Exit codes: 0 success/verified, 1 verification mismatch (including a
 measured success probability off the classical ratio), 2 usage error,
-3 size cap exceeded (simulation size, predicted gate total, more than
-SHOTS_CAP = 10**7 sampled shots, or an `oracle` board above ORACLE_CAP = 12),
-4 output file cannot be written. All randomness flows from --seed.
+3 resource bound exceeded (`solve`/`verify`/`sample` predicting a peak above
+MemAvailable, a predicted gate total above BUILD_GATE_CAP = 10**6 for
+`counts`/`export-qasm`, or an `oracle` board above ORACLE_CAP = 12),
+4 output cannot be written (`export-qasm -o`, or a closed stdout). All
+randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_IO = 4
 
-DEFAULT_MAX_N = 6
 FORMAT_ENV_VAR = "NQSOLVE_FORMAT"
 FORMATS = ("text", "json")
 CLOSED_FORM_CAP = 10**6
 # Circuits whose closed-form gate total exceeds this are never built.
 BUILD_GATE_CAP = 10**6
-# Sampling holds every shot in memory (about 16 bytes each), so more are refused.
-SHOTS_CAP = 10**7
+# RSS above the n=1 run over the 2*n**n terms' bytes: up to 12.6x at n=5, 6.7x at n=6, 4.3x at n=7.
+TEMPORARIES = 16
 # Backtracking grows about 5x per board size (0.6 to 0.8 s at n=12), so larger boards are refused.
 ORACLE_CAP = 12
 
@@ -38,15 +39,29 @@ class ResourceCapError(RuntimeError):
     pass
 
 
-def _check_cap(n: int, max_n: int) -> None:
-    if n > max_n:
-        # 2*n**n is not computed: past 4,300 digits an int cannot be printed.
-        raise ResourceCapError(
-            f"n={n} exceeds the simulation cap {max_n} "
-            f"(up to 2*{n}**{n} transient state terms); raise with --max-n"
-        )
-    if max_n > DEFAULT_MAX_N:
-        print(f"warning: n up to {max_n} may need several GB of memory", file=sys.stderr)
+def _available_bytes() -> int:
+    """MemAvailable from /proc/meminfo, else physical memory."""
+    try:
+        with open("/proc/meminfo", "rb") as fh:
+            return next(int(ln.split()[1]) * 1024 for ln in fh if ln.startswith(b"MemAvailable:"))
+    except (OSError, StopIteration):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _predicted_bytes(n: int, shots: int = 0) -> int:
+    """Peak bytes to simulate board n (2*n**n terms at most) and hold `shots` shots."""
+    words = -(-circuit.qubit_total(n) // sim.WORD_BITS)
+    return 2 * n**n * (8 * words + 16) * TEMPORARIES + 16 * shots
+
+
+def _check_memory(n: int, shots: int = 0) -> None:
+    available = _available_bytes()
+    # n**n is evaluated only up to n=16: from n=17, n*log2(n) > 64 and no memory
+    # holds the terms (past 4,300 digits an int cannot even be printed).
+    peak = _predicted_bytes(n, shots) if n <= 16 else 2**64
+    if peak > available:
+        need = f"{peak >> 20} MiB" if n <= 16 else "over 2**64 bytes"
+        raise ResourceCapError(f"n={n} predicts {need} at peak; {available >> 20} MiB available")
 
 
 def _predicted_gates(n: int) -> int:
@@ -55,29 +70,25 @@ def _predicted_gates(n: int) -> int:
 
 
 def _board_ascii(cols: tuple[int, ...]) -> str:
-    n = len(cols)
-    return "\n".join(" ".join("Q" if c == col else "." for c in range(n)) for col in cols)
+    return "\n".join(" ".join("Q" if c == col else "." for c in range(len(cols))) for col in cols)
 
 
 def cmd_solve(args: argparse.Namespace, out) -> int:
-    _check_cap(args.n, args.max_n)
+    _check_memory(args.n)
     report = analysis.verify_against_oracle(args.n)
     if args.format == "json":
         print(report.to_json(), file=out)
     else:
-        if report.quantum_solutions:
-            for idx, sol in enumerate(report.quantum_solutions, start=1):
-                print(f"solution {idx}: cols={list(sol)}", file=out)
-                print(_board_ascii(sol), file=out)
-                print(file=out)
-        else:
+        for idx, sol in enumerate(report.quantum_solutions, start=1):
+            print(f"solution {idx}: cols={list(sol)}\n{_board_ascii(sol)}\n", file=out)
+        if not report.quantum_solutions:
             print("no solutions", file=out)
         print(f"success probability: {report.success_probability!r}", file=out)
     return EXIT_OK if report.equal and report.probability_ok else EXIT_MISMATCH
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
-    _check_cap(args.n, args.max_n)
+    _check_memory(args.n)
     report = analysis.verify_against_oracle(args.n)
     if args.format == "json":
         print(report.to_json(), file=out)
@@ -89,13 +100,8 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         print(f"success probability: {report.success_probability!r}", file=out)
         print(f"census ok: {report.census_ok}", file=out)
         print(f"ancilla mismatches: {report.ancilla_mismatches}", file=out)
-    ok = (
-        report.equal
-        and report.census_ok
-        and report.ancilla_mismatches == 0
-        and report.probability_ok
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    ok = report.equal and report.census_ok and report.probability_ok
+    return EXIT_OK if ok and report.ancilla_mismatches == 0 else EXIT_MISMATCH
 
 
 def cmd_counts(args: argparse.Namespace, out) -> int:
@@ -131,20 +137,14 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
     else:
         print(f"{'quantity':<20} {'closed form':>12} {'built':>12} {'status':>10}", file=out)
         for name, closed, built_val in rows:
-            if built_val is None:
-                status, built_str = "-", "-"
-            elif built_val == closed:
-                status, built_str = "MATCH", str(built_val)
-            else:
-                status, built_str = "MISMATCH", str(built_val)
+            built_str = "-" if built_val is None else str(built_val)
+            status = "-" if built_val is None else "MATCH" if built_val == closed else "MISMATCH"
             print(f"{name:<20} {closed:>12} {built_str:>12} {status:>10}", file=out)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace, out) -> int:
-    if args.shots > SHOTS_CAP:
-        raise ResourceCapError(f"--shots {args.shots} exceeds the sampling cap {SHOTS_CAP}")
-    _check_cap(args.n, args.max_n)
+    _check_memory(args.n, args.shots)
     state = sim.run(circuit.build_full_circuit(args.n))
     report = analysis.sampling_report(state, shots=args.shots, seed=args.seed)
     if args.format == "json":
@@ -201,24 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     default_format = os.environ.get(FORMAT_ENV_VAR, "text")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(name: str, command, summary: str, simulated: bool = False):
+    def common(name: str, command, summary: str):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(command=command)
         p.add_argument("n", type=int, help="board size (>= 1)")
         p.add_argument("--format", choices=FORMATS, default=default_format)
-        if simulated:
-            p.add_argument(
-                "--max-n",
-                type=int,
-                default=DEFAULT_MAX_N,
-                help=f"simulation size cap (default {DEFAULT_MAX_N})",
-            )
         return p
 
-    common("solve", cmd_solve, "simulate, post-select, and print solutions", True)
-    common("verify", cmd_verify, "certify against the classical oracle", True)
+    common("solve", cmd_solve, "simulate, post-select, and print solutions")
+    common("verify", cmd_verify, "certify against the classical oracle")
     common("counts", cmd_counts, "gate/qubit census vs closed forms")
-    p_sample = common("sample", cmd_sample, "seeded measurement sampling", True)
+    p_sample = common("sample", cmd_sample, "seeded measurement sampling")
     p_sample.add_argument("--shots", type=int, default=310)
     p_sample.add_argument("--seed", type=int, default=0)
     common("oracle", cmd_oracle, "classical backtracking solutions")
@@ -240,10 +233,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.mode == "sample" and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
-        return args.command(args, out)
+        code = args.command(args, out)
+        out.flush()
+        return code
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # The reader left; quiet the interpreter's final flush (see SIGPIPE in the `signal` docs).
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,20 @@ def no_build(monkeypatch):
         raise AssertionError(f"built the n={n} circuit")
 
     monkeypatch.setattr(cli.circuit, "build_full_circuit", refuse)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """Set the memory the bound compares with, in bytes."""
+
+    def set_budget(available):
+        monkeypatch.setattr(cli, "_available_bytes", lambda: available)
+
+    return set_budget
+
+
+def over_budget_message(n, predicted, available):
+    return f"error: n={n} predicts {predicted >> 20} MiB at peak; {available >> 20} MiB available\n"
 
 
 class TestSolve:
@@ -51,14 +66,19 @@ class TestSolve:
         assert obj["equal"] is True
         assert obj["quantum_solutions"] == [[1, 3, 0, 2], [2, 0, 3, 1]]
 
-    def test_cap_exceeded(self, capsys):
-        code, _ = invoke(["solve", "7"])
+    def test_cap_exceeded(self, no_build, capsys):
+        # 2 * 17**17 terms are past any memory.
+        code, text = invoke(["solve", "17"])
         assert code == cli.EXIT_RESOURCE
-        assert "--max-n" in capsys.readouterr().err
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: n=17 predicts over 2**64 bytes at peak; ")
 
-    def test_lowered_cap_blocks(self, capsys):
-        code, _ = invoke(["solve", "5", "--max-n", "4"])
+    def test_lowered_cap_blocks(self, budget, no_build, capsys):
+        budget(2**20)
+        code, text = invoke(["solve", "5"])
         assert code == cli.EXIT_RESOURCE
+        assert text == ""
+        assert capsys.readouterr().err == over_budget_message(5, cli._predicted_bytes(5), 2**20)
 
 
 class TestVerify:
@@ -168,30 +188,79 @@ class TestCounts:
         assert json.loads(text)["qubits"]["built"] == (None if over else 25)
 
 
-class TestRaisedCap:
+class TestMemoryBound:
+    """solve, verify and sample refuse a predicted peak above the available memory."""
+
     @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
-    def test_warns_on_stderr_only(self, mode, capsys):
+    def test_over_budget_exits_3_before_building(self, mode, budget, no_build, capsys):
+        predicted = cli._predicted_bytes(4, 310 if mode == "sample" else 0)
+        budget(predicted - 1)
+        code, text = invoke([mode, "4"])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        assert capsys.readouterr().err == over_budget_message(4, predicted, predicted - 1)
+
+    @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
+    def test_runs_at_the_budget(self, mode, budget, capsys):
         _, plain = invoke([mode, "4"])
-        assert capsys.readouterr().err == ""
-        code, raised = invoke([mode, "4", "--max-n", "7"])
+        budget(cli._predicted_bytes(4, 310 if mode == "sample" else 0))
+        code, text = invoke([mode, "4"])
         assert code == cli.EXIT_OK
-        assert raised == plain
-        assert capsys.readouterr().err == (
-            "warning: n up to 7 may need several GB of memory\n"
-        )
+        assert text == plain
+        assert capsys.readouterr().err == ""
+
+    def test_shots_alone_push_sample_over_budget(self, budget, capsys):
+        budget(cli._predicted_bytes(4, 310))
+        assert invoke(["sample", "4", "--shots", "310"])[0] == cli.EXIT_OK
+        code, text = invoke(["sample", "4", "--shots", "311"])
+        assert code == cli.EXIT_RESOURCE
+        assert text == ""
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_prediction_grows_16_bytes_per_shot(self):
+        assert cli._predicted_bytes(5, 1000) - cli._predicted_bytes(5, 0) == 16_000
+
+    @pytest.mark.parametrize(
+        "meminfo, expected",
+        [
+            (b"MemTotal:  16 kB\nMemFree:  8 kB\nMemAvailable:  7 kB\n", 7 * 1024),
+            (b"MemTotal:  16 kB\nMemFree:  8 kB\n", None),
+            (FileNotFoundError, None),
+        ],
+        ids=["mem-available", "no-mem-available-line", "no-meminfo"],
+    )
+    def test_budget_reads_mem_available_else_physical_memory(self, monkeypatch, meminfo, expected):
+        def fake_open(path, *args):
+            assert path == "/proc/meminfo"
+            if meminfo is FileNotFoundError:
+                raise FileNotFoundError(path)
+            return io.BytesIO(meminfo)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert cli._available_bytes() == (physical if expected is None else expected)
+
+    @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
+    def test_max_n_is_a_usage_error(self, mode):
+        with pytest.raises(SystemExit) as err:
+            invoke([mode, "4", "--max-n", "7"])
+        assert err.value.code == cli.EXIT_USAGE
 
 
 class TestHugeBoard:
     @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
     def test_exits_3_without_printing_n_to_the_n(self, mode, no_build, capsys):
-        # 2 * 2000**2000 has 6,603 digits, past Python's int-to-str limit.
-        code, text = invoke([mode, "2000"])
-        assert code == cli.EXIT_RESOURCE == 3
-        assert text == ""
-        assert capsys.readouterr().err == (
-            "error: n=2000 exceeds the simulation cap 6 "
-            "(up to 2*2000**2000 transient state terms); raise with --max-n\n"
-        )
+        # 2 * 2000**2000 has 6,603 digits, past Python's int-to-str limit, and
+        # 10**9 ** 10**9 could not be computed at all.
+        for n in (2000, 10**9):
+            start = time.perf_counter()
+            code, text = invoke([mode, str(n)])
+            assert time.perf_counter() - start < 1.0
+            assert code == cli.EXIT_RESOURCE == 3
+            assert text == ""
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: n={n} predicts over 2**64 bytes at peak; ")
+            assert err.endswith(" MiB available\n") and err.count("\n") == 1
 
 
 class TestSample:
@@ -225,10 +294,15 @@ class TestSample:
         assert "--seed must be >= 0, got -1" in captured.err
 
     def test_over_the_shots_cap_exits_3(self, no_build, capsys):
-        code, text = invoke(["sample", "4", "--shots", str(cli.SHOTS_CAP + 1)])
+        # 10**12 shots would hold 16 TB of draws and row positions.
+        start = time.perf_counter()
+        code, text = invoke(["sample", "4", "--shots", str(10**12)])
+        assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_RESOURCE == 3
         assert text == ""
-        assert f"exceeds the sampling cap {cli.SHOTS_CAP}" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: n=4 predicts {cli._predicted_bytes(4, 10**12) >> 20} MiB at peak; "
+        )
 
 
 class TestOracle:
@@ -284,6 +358,13 @@ class TestExportQasm:
         assert "669166498 gates" in capsys.readouterr().err
 
 
+def child_env():
+    """The environment for a child interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 @pytest.mark.parametrize(
     "probe, expected",
     [
@@ -303,13 +384,52 @@ class TestExportQasm:
     ],
 )
 def test_cli_import_does_not_load_scipy(probe, expected):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
     )
     assert result.stdout == expected
+
+
+def test_sample_7_peak_stays_under_the_prediction():
+    probe = (
+        "import io, resource, sys, quantum_nqueens.cli as cli\n"
+        "if sys.argv[1:]: cli.main(sys.argv[1:], out=io.StringIO())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    kib = [
+        int(
+            subprocess.run(
+                [sys.executable, "-c", probe, *argv],
+                env=child_env(), capture_output=True, text=True, check=True,
+            ).stdout
+        )
+        for argv in ([], ["sample", "7", "--shots", "1"])
+    ]
+    # ru_maxrss is in KiB on Linux; the first child only imports the CLI.
+    assert (kib[1] - kib[0]) * 1024 < cli._predicted_bytes(7, 1)
+
+
+class TestClosedStdout:
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def test_exits_4_without_traceback(self, capsys):
+        assert cli.main(["oracle", "10"], out=self.ClosedPipe()) == cli.EXIT_IO == 4
+        assert capsys.readouterr().err == ""
+
+    def test_reader_gone_before_the_final_flush(self):
+        # oracle 4 fits in the stdout buffer, so nothing is written before the
+        # final flush, long after the read end is closed here.
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "quantum_nqueens.cli", "oracle", "4"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (cli.EXIT_IO, "")
 
 
 class TestUsage:

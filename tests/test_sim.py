@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from quantum_nqueens.circuit import (
     Gate,
-    build_column_checks,
     build_full_circuit,
-    build_w_prep,
     layout,
 )
 from quantum_nqueens.sim import (
@@ -161,20 +159,18 @@ class TestRun:
             assert complex(a).imag == 0.0
             assert abs(a - target) < 1e-10
 
-    def test_sparsity_bound_during_column_checks(self):
-        n = 4
-        lay = layout(4)
-        gates = []
-        for row in range(n):
-            gates.extend(build_w_prep(n, row))
-        gates.extend(build_column_checks(n))
-        state = init_state(lay)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sparsity_bound_during_column_checks(self, n):
+        # The CLI's memory bound assumes this peak: each column check's first H
+        # doubles the n**n boards, and its second H halves them again.
+        circ = build_full_circuit(n)
+        state = init_state(circ.layout)
         peak = 1
-        for g in gates:
+        for g in circ.gates:
             state = apply_gate(state, g)
-            peak = max(peak, len(state.terms))
-        assert peak <= 2 * n**n
-        assert len(state.terms) == n**n
+            peak = max(peak, len(state))
+        assert peak == (2 * n**n if n >= 2 else 1)
+        assert len(state) == n**n
 
     def test_norm_preserved_throughout(self):
         state = init_state(layout(3))
