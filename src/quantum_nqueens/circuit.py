@@ -11,9 +11,12 @@ then Toffoli diagonal checks onto ancillas pre-flipped to |1>.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 from .board import diagonal_pairs
 
@@ -21,29 +24,42 @@ _ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
 _PARAMETRIC = {"RY", "CRY"}
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: controls listed before the target in `qubits`."""
-
+class _GateFields(NamedTuple):  # a NamedTuple may not define __new__, so Gate subclasses it
     kind: str
     qubits: tuple[int, ...]
     theta: float | None = None
 
-    def __post_init__(self) -> None:
-        arity = _ARITY.get(self.kind)
+
+class Gate(_GateFields):
+    """One gate, a validated tuple: controls listed before the target in `qubits`."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, qubits: Iterable[int], theta: float | None = None) -> "Gate":
+        arity = _ARITY.get(kind)
         if arity is None:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != arity:
-            raise ValueError(f"{self.kind} takes {arity} qubits")
-        if min(self.qubits) < 0:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        try:
+            qubits = tuple(map(operator.index, qubits))
+        except TypeError:
+            raise ValueError("gate operands must be integers") from None
+        if len(qubits) != arity:
+            raise ValueError(f"{kind} takes {arity} qubits")
+        if min(qubits) < 0:
             raise ValueError("gate operands must be non-negative")
-        if arity > 1 and len(set(self.qubits)) != arity:
+        if arity > 1 and len(set(qubits)) != arity:
             raise ValueError("gate operands must be distinct")
-        if self.kind in _PARAMETRIC:
-            if self.theta is None or not math.isfinite(self.theta):
-                raise ValueError(f"{self.kind} requires a finite angle")
-        elif self.theta is not None:
-            raise ValueError(f"{self.kind} takes no angle")
+        if kind in _PARAMETRIC:
+            if theta is None or not math.isfinite(theta):
+                raise ValueError(f"{kind} requires a finite angle")
+        elif theta is not None:
+            raise ValueError(f"{kind} takes no angle")
+        return tuple.__new__(cls, (kind, qubits, theta))
+
+    @classmethod
+    def _make(cls, iterable) -> "Gate":
+        """Build through the checks: NamedTuple's _make, which _replace calls, skips them."""
+        return cls(*iterable)
 
     def inverse(self) -> "Gate":
         if self.kind in _PARAMETRIC:
@@ -92,9 +108,14 @@ class Circuit:
 
     def __post_init__(self) -> None:
         q_total = self.layout.q_total
-        for gate in self.gates:
-            if max(gate.qubits) >= q_total:
-                raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
+        # C-level passes over the entries and all their operands; a generator names an offender.
+        if not all(map(isinstance, self.gates, itertools.repeat(Gate))):
+            entry = next(g for g in self.gates if not isinstance(g, Gate))
+            raise ValueError(f"circuit entry {entry!r} is not a Gate")
+        operands = itertools.chain.from_iterable(map(operator.attrgetter("qubits"), self.gates))
+        if max(operands, default=-1) >= q_total:
+            gate = next(g for g in self.gates if max(g.qubits) >= q_total)
+            raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
 
 
 def layout(n: int) -> RegisterLayout:
@@ -167,8 +188,8 @@ def build_diagonal_checks(n: int) -> list[Gate]:
         for i in range(n)
         for j in range(i + 1, n)
     }
-    for (i, x), (j, y) in diagonal_pairs(n):
-        gates.append(Gate("CCX", (system[i][x], system[j][y], anc[i, j])))
+    pairs = diagonal_pairs(n)
+    gates += [Gate("CCX", (system[i][x], system[j][y], anc[i, j])) for (i, x), (j, y) in pairs]
     return gates
 
 
@@ -202,7 +223,7 @@ def gate_census(circuit: Circuit) -> GateCensus:
     H and CZ occur only in column checks and CCX only in diagonal checks, so
     the stage totals are recovered directly from the kind counts.
     """
-    counts = Counter(g.kind for g in circuit.gates)
+    counts = Counter(map(operator.attrgetter("kind"), circuit.gates))
     return GateCensus(
         counts=dict(counts),
         column_check_gates=counts["H"] + counts["CZ"],

@@ -28,6 +28,11 @@ class QasmDocument:
     gate_line_count: int
 
 
+# One %-template per kind over (angle, *qubits); %r prints the angle as repr does.
+_STATEMENT = {"X": "x q[%d];", "H": "h q[%d];", "RY": "ry(%r) q[%d];", "CX": "cx q[%d],q[%d];",
+              "CZ": "cz q[%d],q[%d];", "CCX": "ccx q[%d],q[%d],q[%d];"}
+
+
 def export_qasm(circuit: Circuit) -> QasmDocument:
     """Serialize a circuit, in canonical gate order, to OpenQASM 2.0."""
     lay = circuit.layout
@@ -49,31 +54,25 @@ def export_qasm(circuit: Circuit) -> QasmDocument:
     lines.append(f"qreg q[{lay.q_total}];")
     lines.append(f"creg c[{lay.q_total}];")
 
-    gate_count = 0
-    for g in circuit.gates:
-        if g.kind == "CRY":
-            ctrl, tgt = g.qubits
-            lines.append(f"ry({g.theta / 2.0!r}) q[{tgt}];")
-            lines.append(f"cx q[{ctrl}],q[{tgt}];")
-            lines.append(f"ry({-g.theta / 2.0!r}) q[{tgt}];")
-            lines.append(f"cx q[{ctrl}],q[{tgt}];")
-            gate_count += 4
-        else:
-            name = g.kind.lower()
-            args = ",".join(f"q[{q}]" for q in g.qubits)
-            if g.theta is not None:
-                lines.append(f"{name}({g.theta!r}) {args};")
-            else:
-                lines.append(f"{name} {args};")
-            gate_count += 1
-    for q in range(lay.q_total):
-        lines.append(f"measure q[{q}] -> c[{q}];")
+    header = len(lines)
+    for kind, qubits, theta in circuit.gates:
+        if theta is None:
+            lines.append(_STATEMENT[kind] % qubits)
+        elif kind == "RY":
+            lines.append(_STATEMENT["RY"] % (theta, *qubits))
+        else:  # CRY as ry(theta/2) t; cx c,t; ry(-theta/2) t; cx c,t
+            ry, cx = _STATEMENT["RY"], _STATEMENT["CX"] % qubits
+            lines += (ry % (theta / 2.0, qubits[1]), cx, ry % (-theta / 2.0, qubits[1]), cx)
+    gate_count = len(lines) - header
+    lines += [f"measure q[{q}] -> c[{q}];" for q in range(lay.q_total)]
     return QasmDocument(text="\n".join(lines) + "\n", gate_line_count=gate_count)
 
 
 # (?a) makes \d and \w ASCII-only, so int() never reads another script's digits.
+# The first three operands are captured by the match itself; `more` holds any further ones.
 _GATE_RE = re.compile(
-    r"(?a)^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[\d+\](?:\s*,\s*q\[\d+\])*)\s*;$"
+    r"(?a)^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[(?P<q0>\d+)\]"
+    r"(?:\s*,\s*q\[(?P<q1>\d+)\](?:\s*,\s*q\[(?P<q2>\d+)\](?P<more>(?:\s*,\s*q\[\d+\])+)?)?)?)\s*;$"
 )
 _OPERAND_RE = re.compile(r"(?a)q\[(\d+)\]")
 _QREG_RE = re.compile(r"(?a)^qreg\s+q\[(\d+)\]\s*;$")
@@ -154,7 +153,11 @@ def parse_qasm_subset(text: str) -> Circuit:
                 statement = "measure" if kind is None else "gate statement"
                 raise ValueError(f"{statement} before qreg declaration")
             try:
-                qubits = tuple(map(int, _OPERAND_RE.findall(m["operands"])))
+                if kind is None or m["more"]:  # a measure, or a gate past three operands
+                    qubits = tuple(map(int, _OPERAND_RE.findall(m["operands"])))
+                else:
+                    q0, q1, q2 = m.group("q0", "q1", "q2")
+                    qubits = (int(q0), int(q1), int(q2)) if q2 else (int(q0), int(q1)) if q1 else (int(q0),)
             except ValueError:  # past Python's int-to-str digit limit, so past any qreg
                 qubits = (lay.q_total,)
             if max(qubits) >= lay.q_total:

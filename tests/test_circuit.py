@@ -1,6 +1,9 @@
+import copy
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from quantum_nqueens import sim
@@ -88,12 +91,46 @@ class TestGate:
             ("RY", (0,), math.nan, "RY requires a finite angle"),
             ("H", (0,), 0.5, "H takes no angle"),
             ("X", (-1,), None, "gate operands must be non-negative"),
+            ("X", (1.0,), None, "gate operands must be integers"),
+            ("CX", (0, "1"), None, "gate operands must be integers"),
+            ("SWAP", (0.5,), None, "unknown gate kind 'SWAP'"),
+            ("X", (0.5, 1), None, "gate operands must be integers"),
         ],
     )
     def test_every_check_raises(self, kind, qubits, theta, message):
         with pytest.raises(ValueError) as err:
             Gate(kind, qubits, theta)
         assert str(err.value) == message
+
+    def test_operands_become_a_tuple_of_ints(self):
+        gate = Gate("CX", [np.int64(2), 0])
+        assert gate.qubits == (2, 0)
+        assert all(type(q) is int for q in gate.qubits)
+        assert hash(gate) == hash(Gate("CX", (2, 0)))
+
+    def test_keyword_construction_and_repr(self):
+        gate = Gate(kind="RY", qubits=(3,), theta=0.5)
+        assert gate == Gate("RY", (3,), 0.5)
+        assert repr(gate) == "Gate(kind='RY', qubits=(3,), theta=0.5)"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Gate._make(("X", (1.0,), None)), "gate operands must be integers"),
+            (lambda: Gate("X", (0,))._replace(qubits=(-1,)), "gate operands must be non-negative"),
+            (lambda: Gate("CX", (0, 1))._replace(theta=1.0), "CX takes no angle"),
+            (lambda: Gate("H", (0,))._replace(kind="SWAP"), "unknown gate kind 'SWAP'"),
+        ],
+    )
+    def test_no_construction_path_skips_the_checks(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_copies_and_pickles_are_gates(self):
+        gate = Gate("CRY", (0, 1), 0.7)
+        for twin in (copy.copy(gate), copy.deepcopy(gate), pickle.loads(pickle.dumps(gate))):
+            assert type(twin) is Gate and twin == gate
 
     def test_inverse(self):
         g = Gate("CRY", (0, 1), 0.7)
@@ -109,6 +146,12 @@ class TestCircuit:
         with pytest.raises(ValueError) as err:
             Circuit(lay, (Gate("X", (0,)), Gate("CCX", (0, 6, 1))))
         assert "exceeds layout of 6 qubits" in str(err.value)
+
+    @pytest.mark.parametrize("entry", [("X", (0,), None), ["X", (0,), None], "X"])
+    def test_entry_that_is_not_a_gate_raises(self, entry):
+        with pytest.raises(ValueError) as err:
+            Circuit(layout(2), (Gate("X", (0,)), entry))
+        assert str(err.value) == f"circuit entry {entry!r} is not a Gate"
 
 
 def block_state(n, row):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -136,6 +137,24 @@ class TestParse:
                 3,
                 "CX takes 2 qubits",
                 id="wrong-arity",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[6];\nx q[0],q[1];\n",
+                3,
+                "X takes 1 qubits",
+                id="over-arity",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[6];\nccx q[0],q[1],q[2],q[3];\n",
+                3,
+                "CCX takes 3 qubits",
+                id="over-arity-past-three-operands",
+            ),
+            pytest.param(
+                "OPENQASM 2.0;\nqreg q[6];\nccx q[0],q[1],q[2] , q[6];\n",
+                3,
+                "qubit index out of range for qreg q[6]",
+                id="fourth-operand-out-of-range",
             ),
             pytest.param(
                 "OPENQASM 2.0;\nqreg q[1];\nry q[0];\n",
@@ -398,3 +417,9 @@ class TestGoldenFiles:
     def test_byte_stable(self, n):
         golden = (GOLDEN_DIR / f"nqueens_n{n}.qasm").read_bytes()
         assert export_qasm(build_full_circuit(n)).text.encode("utf-8") == golden
+
+    def test_n32_export_digest(self):
+        # The benchmark's size: every kind the builder emits, multi-digit indices, repr angles.
+        text = export_qasm(build_full_circuit(32)).text
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == "832203bb61ba400dd3f3d2a9e42eda44d8b219ad1aca9ff47b168be461db80ba"
