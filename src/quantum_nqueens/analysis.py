@@ -9,9 +9,11 @@ prediction `ancilla_truth`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,26 +32,39 @@ class EncodingError(ValueError):
     """A label violates the one-queen-per-row guarantee."""
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
+class OutcomeRecord(NamedTuple):
     cols: tuple[int, ...]
     col_anc: tuple[int, ...]
     diag_anc: tuple[int, ...]
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(layout: RegisterLayout) -> tuple:
+    """Per-layout constants of `decode`: row shifts, row mask, one-hot block to
+    column, ancilla offset and width, and the column-ancilla count."""
+    n = layout.n
+    shifts = tuple(layout.system_qubit(r, 0) for r in range(n))
+    column = {1 << c: c for c in range(n)}
+    return shifts, (1 << n) - 1, column, layout.n_system, layout.q_total - layout.n_system, n - 1
+
+
 def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
     """Split a label into queen columns, read from the one set bit of each
     row's n-qubit block, and the column- and diagonal-ancilla bits."""
-    n = layout.n
-    row_mask = (1 << n) - 1
-    cols = []
-    for r in range(n):
-        block = label >> layout.system_qubit(r, 0) & row_mask
-        if block.bit_count() != 1:
-            raise EncodingError(f"row {r} holds {block.bit_count()} queens, expected 1")
-        cols.append(block.bit_length() - 1)
-    anc = tuple(label >> q & 1 for q in range(layout.n_system, layout.q_total))
-    return OutcomeRecord(cols=tuple(cols), col_anc=anc[: n - 1], diag_anc=anc[n - 1 :])
+    shifts, row_mask, column, n_system, width, k = _decoder(layout)
+    try:
+        cols = tuple([column[label >> s & row_mask] for s in shifts])
+    except KeyError:
+        for r, s in enumerate(shifts):
+            if (queens := (label >> s & row_mask).bit_count()) != 1:
+                raise EncodingError(f"row {r} holds {queens} queens, expected 1") from None
+    # Bits from q_total up are masked off; the top 1 keeps the leading zeros.
+    bank = format(label >> n_system & (1 << width) - 1 | 1 << width, "b")
+    anc = tuple(bank[:0:-1].encode().translate(_BITS))  # qubit n_system first
+    return OutcomeRecord(cols, anc[:k], anc[k:])
 
 
 def decode_rows(
@@ -93,6 +108,12 @@ def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
     return label
 
 
+@functools.lru_cache(maxsize=None)
+def _row_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Row pairs (i, j, j - i) in lexicographic (i, j) order."""
+    return tuple((i, j, j - i) for i, j in itertools.combinations(range(n), 2))
+
+
 def ancilla_truth(cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Classical prediction of the circuit's ancilla outputs for one board.
 
@@ -102,17 +123,17 @@ def ancilla_truth(cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     lexicographic (i, j) order.
     """
     n = len(cols)
-    col_bits = tuple(cols.count(c) % 2 for c in range(n - 1))
-    diag_bits = tuple(
-        int(abs(cols[i] - cols[j]) != j - i) for i, j in itertools.combinations(range(n), 2)
-    )
+    col_bits = tuple([cols.count(c) % 2 for c in range(n - 1)])
+    diag_bits = tuple([1 if abs(cols[i] - cols[j]) != d else 0 for i, j, d in _row_pairs(n)])
     return col_bits, diag_bits
 
 
 def postselect_solutions(state: SparseState) -> list[tuple[int, ...]]:
-    """Queen columns of all terms whose ancillas are all 1, sorted."""
+    """Queen columns of all terms at or above the prune threshold whose
+    ancillas are all 1, sorted."""
+    kept = np.flatnonzero(np.abs(state.amps) >= sim_mod.PRUNE_THRESHOLD)
     solutions = []
-    for lbl, _ in sim_mod.readout(state):
+    for lbl in sim_mod._to_ints(state.labels[kept]):
         record = decode(lbl, state.layout)
         if all(record.col_anc) and all(record.diag_anc):
             solutions.append(record.cols)
@@ -154,7 +175,7 @@ def verify_against_oracle(n: int) -> VerificationReport:
     success_probability = 0.0
     for lbl, amp in sim_mod.readout(state):
         record = decode(lbl, state.layout)
-        if (record.col_anc, record.diag_anc) != ancilla_truth(record.cols):
+        if record[1:] != ancilla_truth(record.cols):
             mismatches += 1
         if all(record.col_anc) and all(record.diag_anc):
             success_probability += abs(amp) ** 2

@@ -113,11 +113,13 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
     if _predicted_gates(n) <= BUILD_GATE_CAP:
         built_circuit = circuit.build_full_circuit(n)
         census = circuit.gate_census(built_circuit)
+        gates = built_circuit.gates
         built = [
             built_circuit.layout.q_total,
             census.column_check_gates,
             census.diagonal_ccx,
-            sum(len(circuit.build_w_prep(n, r)) for r in range(n)),
+            # W-prep is every gate before the first H (all of them at n=1).
+            next((i for i, gate in enumerate(gates) if gate.kind == "H"), len(gates)),
         ]
     closed_forms = [
         circuit.qubit_total(n),

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -102,6 +103,37 @@ class TestDecode:
         lay = layout(n)
         assert decode(encode(rec, lay), lay) == rec
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_ignores_bits_above_the_register(self, n):
+        lay = layout(n)
+        diag_anc = tuple(k % 2 for k in range(lay.n_diag_anc))
+        rec = OutcomeRecord(tuple(range(n))[::-1], (1,) * (n - 1), diag_anc)
+        label = encode(rec, lay)
+        assert decode(label | 1 << lay.q_total + 3, lay) == decode(label, lay) == rec
+        assert decode(label | (2**70 - 1) << lay.q_total, lay) == rec
+
+    def test_two_bad_rows_raise_for_the_first(self):
+        lay = layout(4)
+        label = encode(OutcomeRecord((1, 3, 0, 2), (1, 1, 1), (1,) * 6), lay)
+        label &= ~(1 << lay.system_qubit(1, 3))  # row 1 empty
+        label |= 1 << lay.system_qubit(3, 0)  # row 3 holds two queens
+        with pytest.raises(EncodingError) as err:
+            decode(label, lay)
+        assert str(err.value) == "row 1 holds 0 queens, expected 1"
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_fields_are_tuples_of_int(self, n):
+        state = sim.run(build_full_circuit(n))
+        for lbl, _ in sim.readout(state):
+            record = decode(lbl, state.layout)
+            assert type(record) is OutcomeRecord
+            assert len(record.cols) == n
+            for field in record:
+                assert type(field) is tuple
+                assert all(type(v) is int for v in field)
+        if n == 1:
+            assert record == ((0,), (), ())
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_per_qubit_reads_on_every_term(self, n):
         state = sim.run(build_full_circuit(n))
@@ -196,6 +228,18 @@ class TestAncillaTruth:
         col, _ = ancilla_truth((0, 0))
         assert col[0] == 0
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_a_per_pair_reference_on_every_board(self, n):
+        for cols in itertools.product(range(n), repeat=n):
+            col_ref = [sum(1 for r in range(n) if cols[r] == c) % 2 for c in range(n - 1)]
+            diag_ref = []
+            for i in range(n):
+                for j in range(i + 1, n):
+                    diag_ref.append(0 if abs(cols[i] - cols[j]) == j - i else 1)
+            col, diag = ancilla_truth(cols)
+            assert (list(col), list(diag)) == (col_ref, diag_ref)
+            assert all(type(bit) is int for bit in col + diag)
+
 
 class TestPostselect:
     def test_n4_two_solutions(self):
@@ -211,6 +255,20 @@ class TestPostselect:
     def test_n1_single(self):
         solutions = postselect_solutions(sim.run(build_full_circuit(1)))
         assert solutions == [(0,)]
+
+    def test_skips_a_term_below_the_prune_threshold(self):
+        lay = layout(4)
+        kept = encode(OutcomeRecord((2, 0, 3, 1), (1,) * 3, (1,) * 6), lay)
+        faint = encode(OutcomeRecord((1, 3, 0, 2), (1,) * 3, (1,) * 6), lay)
+        state = sim.SparseState(lay, {faint: 1e-13, kept: 1.0})
+        assert postselect_solutions(state) == [(2, 0, 3, 1)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_a_decode_of_the_readout(self, n):
+        state = sim.run(build_full_circuit(n))
+        records = [decode(lbl, state.layout) for lbl, _ in sim.readout(state)]
+        expected = sorted(r.cols for r in records if all(r.col_anc) and all(r.diag_anc))
+        assert postselect_solutions(state) == expected
 
 
 class TestVerifyAgainstOracle:
