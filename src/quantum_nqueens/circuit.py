@@ -205,29 +205,36 @@ def build_full_circuit(n: int) -> Circuit:
 
 @dataclass(frozen=True)
 class GateCensus:
-    """Per-kind gate counts plus the two totals the closed forms predict.
-
-    `column_check_gates` covers the H and CZ gates of the parity sandwiches;
-    `diagonal_ccx` counts Toffolis only (ancilla-init X gates are reported
-    under `counts` but excluded from the total).
+    """Per-kind gate counts plus the four totals the closed forms predict:
+    the register width `qubits`, the H and CZ gates of the parity sandwiches
+    `column_check_gates`, the Toffolis `diagonal_ccx` (ancilla-init X gates
+    count under `counts` only), and the W-state preparation `w_prep_gates`.
     """
 
     counts: dict[str, int] = field(default_factory=dict)
+    qubits: int = 0
     column_check_gates: int = 0
     diagonal_ccx: int = 0
+    w_prep_gates: int = 0
 
 
 def gate_census(circuit: Circuit) -> GateCensus:
-    """Count the built circuit's gates by kind.
+    """Count the built circuit's gates by kind, and read its four totals.
 
     H and CZ occur only in column checks and CCX only in diagonal checks, so
     the stage totals are recovered directly from the kind counts.
+    `build_full_circuit` puts W-prep first and opens the column checks with an
+    H, so W-prep is every gate before the first H (all of them at n=1, which
+    has no column check).
     """
-    counts = Counter(map(operator.attrgetter("kind"), circuit.gates))
+    kinds = list(map(operator.attrgetter("kind"), circuit.gates))
+    counts = Counter(kinds)
     return GateCensus(
         counts=dict(counts),
+        qubits=circuit.layout.q_total,
         column_check_gates=counts["H"] + counts["CZ"],
         diagonal_ccx=counts["CCX"],
+        w_prep_gates=kinds.index("H") if counts["H"] else len(kinds),
     )
 
 
@@ -278,6 +285,8 @@ def closed_form_census(n: int) -> GateCensus:
     }
     return GateCensus(
         counts={k: v for k, v in counts.items() if v},
+        qubits=qubit_total(n),
         column_check_gates=column_check_gate_count(n),
         diagonal_ccx=diagonal_pair_count(n),
+        w_prep_gates=w_prep_gate_count(n),
     )

@@ -1,12 +1,12 @@
 """Command-line interface for the quantum N-Queens pipeline.
 
-Exit codes: 0 success/verified, 1 verification mismatch (including a
-measured success probability off the classical ratio), 2 usage error,
-3 resource bound exceeded (`solve`/`verify`/`sample` predicting a peak above
-MemAvailable, a predicted gate total above BUILD_GATE_CAP = 10**6 for
-`counts`/`export-qasm`, or an `oracle` board above ORACLE_CAP = 12),
-4 output cannot be written (`export-qasm -o`, or a closed stdout). All
-randomness flows from --seed.
+Exit codes: 0 success/verified, 1 verification mismatch (`solve`/`verify`
+unless `VerificationReport.ok`, `counts` on a built total off its closed
+form), 2 usage error, 3 resource bound exceeded (`solve`/`verify`/`sample`
+predicting a peak above MemAvailable, a predicted gate total above
+BUILD_GATE_CAP = 10**6 for `counts`/`export-qasm`, or an `oracle` board
+above ORACLE_CAP = 12), 4 output cannot be written (`export-qasm -o`, or a
+closed stdout). All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ BUILD_GATE_CAP = 10**6
 TEMPORARIES = 16
 # Backtracking grows about 5x per board size (0.6 to 0.8 s at n=12), so larger boards are refused.
 ORACLE_CAP = 12
+# The `counts` rows: each label and the `GateCensus` total it compares.
+CENSUS_ROWS = (
+    ("qubits", "qubits"),
+    ("column-check gates", "column_check_gates"),
+    ("diagonal Toffolis", "diagonal_ccx"),
+    ("W-prep gates", "w_prep_gates"),
+)
 
 
 class ResourceCapError(RuntimeError):
@@ -50,7 +57,7 @@ def _available_bytes() -> int:
 
 def _predicted_bytes(n: int, shots: int = 0) -> int:
     """Peak bytes to simulate board n (2*n**n terms at most) and hold `shots` shots."""
-    words = -(-circuit.qubit_total(n) // sim.WORD_BITS)
+    words = -(-circuit.closed_form_census(n).qubits // sim.WORD_BITS)
     return 2 * n**n * (8 * words + 16) * TEMPORARIES + 16 * shots
 
 
@@ -73,25 +80,18 @@ def _board_ascii(cols: tuple[int, ...]) -> str:
     return "\n".join(" ".join("Q" if c == col else "." for c in range(len(cols))) for col in cols)
 
 
-def cmd_solve(args: argparse.Namespace, out) -> int:
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    """Certify board n; `solve` draws the boards, `verify` the fields. Exits by `report.ok`."""
     _check_memory(args.n)
     report = analysis.verify_against_oracle(args.n)
     if args.format == "json":
         print(report.to_json(), file=out)
-    else:
+    elif args.mode == "solve":
         for idx, sol in enumerate(report.quantum_solutions, start=1):
             print(f"solution {idx}: cols={list(sol)}\n{_board_ascii(sol)}\n", file=out)
         if not report.quantum_solutions:
             print("no solutions", file=out)
         print(f"success probability: {report.success_probability!r}", file=out)
-    return EXIT_OK if report.equal and report.probability_ok else EXIT_MISMATCH
-
-
-def cmd_verify(args: argparse.Namespace, out) -> int:
-    _check_memory(args.n)
-    report = analysis.verify_against_oracle(args.n)
-    if args.format == "json":
-        print(report.to_json(), file=out)
     else:
         print(f"n: {report.n}", file=out)
         print(f"equal: {report.equal}", file=out)
@@ -100,8 +100,7 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
         print(f"success probability: {report.success_probability!r}", file=out)
         print(f"census ok: {report.census_ok}", file=out)
         print(f"ancilla mismatches: {report.ancilla_mismatches}", file=out)
-    ok = report.equal and report.census_ok and report.probability_ok
-    return EXIT_OK if ok and report.ancilla_mismatches == 0 else EXIT_MISMATCH
+    return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def cmd_counts(args: argparse.Namespace, out) -> int:
@@ -109,26 +108,13 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
     if n > CLOSED_FORM_CAP:
         raise ResourceCapError(f"n={n} exceeds the counts cap {CLOSED_FORM_CAP}")
     predicted = circuit.closed_form_census(n)
-    built = [None] * 4
+    built = None
     if _predicted_gates(n) <= BUILD_GATE_CAP:
-        built_circuit = circuit.build_full_circuit(n)
-        census = circuit.gate_census(built_circuit)
-        gates = built_circuit.gates
-        built = [
-            built_circuit.layout.q_total,
-            census.column_check_gates,
-            census.diagonal_ccx,
-            # W-prep is every gate before the first H (all of them at n=1).
-            next((i for i, gate in enumerate(gates) if gate.kind == "H"), len(gates)),
-        ]
-    closed_forms = [
-        circuit.qubit_total(n),
-        predicted.column_check_gates,
-        predicted.diagonal_ccx,
-        circuit.w_prep_gate_count(n),
+        built = circuit.gate_census(circuit.build_full_circuit(n))
+    rows = [
+        (name, getattr(predicted, key), None if built is None else getattr(built, key))
+        for name, key in CENSUS_ROWS
     ]
-    names = ["qubits", "column-check gates", "diagonal Toffolis", "W-prep gates"]
-    rows = list(zip(names, closed_forms, built))
     mismatch = any(b is not None and b != closed for _, closed, b in rows)
     if args.format == "json":
         payload = {"n": n}
@@ -210,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default=default_format)
         return p
 
-    common("solve", cmd_solve, "simulate, post-select, and print solutions")
+    common("solve", cmd_verify, "simulate, post-select, and print solutions")
     common("verify", cmd_verify, "certify against the classical oracle")
     common("counts", cmd_counts, "gate/qubit census vs closed forms")
     p_sample = common("sample", cmd_sample, "seeded measurement sampling")

@@ -281,6 +281,7 @@ class TestVerifyAgainstOracle:
         assert len(report.classical_solutions) == count
         assert abs(report.success_probability - count / n**n) <= PROBABILITY_TOLERANCE
         assert report.probability_ok
+        assert report.ok
 
     def test_n4_probability(self):
         assert verify_against_oracle(4).success_probability == pytest.approx(2 / 256, abs=1e-15)
@@ -302,6 +303,7 @@ class TestVerifyAgainstOracle:
         assert report.equal and report.census_ok and report.ancilla_mismatches == 0
         assert report.success_probability == pytest.approx(5 / 256, abs=1e-15)
         assert not report.probability_ok
+        assert not report.ok
 
     def test_census_counts_every_gate_kind(self, monkeypatch):
         # An X; X pair leaves the state and both stage totals unchanged, so
@@ -317,6 +319,7 @@ class TestVerifyAgainstOracle:
         report = verify_against_oracle(4)
         assert report.equal and report.ancilla_mismatches == 0 and report.probability_ok
         assert report.census_ok is False
+        assert not report.ok
 
     def test_json_fields(self):
         obj = json.loads(verify_against_oracle(4).to_json())

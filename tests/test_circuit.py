@@ -325,14 +325,14 @@ class TestCensus:
     def test_built_matches_closed_form(self, n):
         built = gate_census(build_full_circuit(n))
         predicted = closed_form_census(n)
-        assert built.column_check_gates == predicted.column_check_gates
-        assert built.diagonal_ccx == predicted.diagonal_ccx
-        assert built.counts == predicted.counts
+        assert built == predicted
 
     def test_n4_totals(self):
         census = gate_census(build_full_circuit(4))
+        assert census.qubits == 25
         assert census.column_check_gates == 18
         assert census.diagonal_ccx == 28
+        assert census.w_prep_gates == 28
 
     def test_n2_totals(self):
         predicted = closed_form_census(2)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from quantum_nqueens import circuit, cli, sim
+from quantum_nqueens.analysis import OutcomeRecord, encode
 from quantum_nqueens.qasm import parse_qasm_subset
 
 
@@ -114,6 +115,52 @@ class TestSuccessProbability:
         assert "success probability: 0.00796953" in text
 
 
+class TestOneVerdict:
+    """`solve` and `verify` exit by the same verdict, so each failed check fails both."""
+
+    @pytest.fixture
+    def flipped_ancilla(self, monkeypatch):
+        # Board (0, 0, 0, 0) reads column ancillas (0, 0, 0); with the first
+        # flipped to 1 it is still no solution, so only the ancilla check fails.
+        real_run = sim.run
+
+        def run(circ):
+            state = real_run(circ)
+            terms = dict(state.terms)
+            label = encode(OutcomeRecord((0,) * 4, (0,) * 3, (1,) * 6), state.layout)
+            terms[label ^ 1 << state.layout.col_anc_qubit(0)] = terms.pop(label)
+            return sim.SparseState(state.layout, terms)
+
+        monkeypatch.setattr(sim, "run", run)
+
+    @pytest.fixture
+    def x_pair(self, monkeypatch):
+        # An X; X pair leaves the state unchanged, so only the census fails.
+        real_build = circuit.build_full_circuit
+
+        def build(n):
+            built = real_build(n)
+            return circuit.Circuit(built.layout, built.gates + (circuit.Gate("X", (0,)),) * 2)
+
+        monkeypatch.setattr(circuit, "build_full_circuit", build)
+
+    @pytest.mark.parametrize("mode", ["verify", "solve"])
+    def test_ancilla_mismatch_exits_1(self, mode, flipped_ancilla):
+        code, text = invoke([mode, "4", "--format", "json"])
+        assert code == cli.EXIT_MISMATCH
+        obj = json.loads(text)
+        assert obj["equal"] is True and obj["census_ok"] is True
+        assert obj["ancilla_mismatches"] == 1
+
+    @pytest.mark.parametrize("mode", ["verify", "solve"])
+    def test_census_mismatch_exits_1(self, mode, x_pair):
+        code, text = invoke([mode, "4", "--format", "json"])
+        assert code == cli.EXIT_MISMATCH
+        obj = json.loads(text)
+        assert obj["equal"] is True and obj["ancilla_mismatches"] == 0
+        assert obj["census_ok"] is False
+
+
 class TestCounts:
     def test_n4_matches(self):
         code, text = invoke(["counts", "4"])
@@ -180,6 +227,22 @@ class TestCounts:
         obj = json.loads(text)
         assert obj["w_prep_gates"] == {"closed_form": 28, "built": 32}
         assert obj["qubits"] == {"closed_form": 25, "built": 25}
+
+    def test_qubits_mismatch_is_seen_by_counts_and_verify(self, monkeypatch):
+        real_total = circuit.qubit_total
+        monkeypatch.setattr(circuit, "qubit_total", lambda n: real_total(n) + 1)
+        code, text = invoke(["counts", "4"])
+        assert code == cli.EXIT_MISMATCH
+        status = {row[:20].strip(): row.split()[-1] for row in text.splitlines()[1:]}
+        assert status == {
+            "qubits": "MISMATCH",
+            "column-check gates": "MATCH",
+            "diagonal Toffolis": "MATCH",
+            "W-prep gates": "MATCH",
+        }
+        code, text = invoke(["verify", "4", "--format", "json"])
+        assert code == cli.EXIT_MISMATCH
+        assert json.loads(text)["census_ok"] is False
 
     @pytest.mark.parametrize("over", [0, 1])
     def test_cap_is_on_the_predicted_gate_total(self, monkeypatch, over):
