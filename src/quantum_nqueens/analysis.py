@@ -218,21 +218,21 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     """Seeded measurement summary: distinct outcomes, solution hits, and a
     chi-square uniformity statistic over the state's support.
 
-    Shots are counted per term in readout order, and each term hit at least
-    once is decoded in one array pass. A hit label that breaks the
-    one-queen-per-row encoding raises the scalar `decode`'s `EncodingError`,
-    for the earliest such shot. Chi-square is degenerate (reported as None)
-    when the support has a single outcome.
+    Shots are counted per term in readout order (`sim.sample_counts`), and
+    each term hit at least once is decoded in one array pass. A hit label
+    that breaks the one-queen-per-row encoding raises the scalar `decode`'s
+    `EncodingError`, for the earliest such shot. Chi-square is degenerate
+    (reported as None) when the support has a single outcome.
     """
     from scipy.special import chdtrc  # only sampling needs scipy; it is slow to import
 
-    order, positions = sim_mod.sample_rows(state, shots, seed)
-    counts = np.bincount(positions, minlength=len(order))
+    order, counts = sim_mod.sample_counts(state, shots, seed)
     hit = np.flatnonzero(counts)
     cols, col_anc, diag_anc = decode_rows(state.labels[order[hit]], state.layout)
 
     bad = (cols < 0).any(axis=1)
-    if bad.any():
+    if bad.any():  # the shots in draw order find the earliest bad one
+        positions = sim_mod.sample_rows(state, shots, seed)[1]
         first = positions[np.isin(positions, hit[bad])][0]
         label = sim_mod._to_ints(state.labels[order[[first]]])[0]
         decode(label, state.layout)  # raises

@@ -11,6 +11,8 @@ then Toffoli diagonal checks onto ancillas pre-flipped to |1>.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
 import operator
@@ -118,6 +120,26 @@ class Circuit:
             raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Run a block, or each call of a decorated function, with CPython's
+    cyclic garbage collector off.
+
+    A whole gate list is tens of thousands of tuples that cannot form a
+    reference cycle, yet their allocation would trigger collections that scan
+    every live container; paused, the collection is put off, not skipped. At
+    exit, normal or by an exception, the collector is turned back on only if
+    it was on at entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def layout(n: int) -> RegisterLayout:
     if n < 1:
         raise ValueError(f"board size must be >= 1, got {n}")
@@ -193,8 +215,10 @@ def build_diagonal_checks(n: int) -> list[Gate]:
     return gates
 
 
+@gc_paused()
 def build_full_circuit(n: int) -> Circuit:
-    """W-state preparation for every row, then column checks, then diagonal checks."""
+    """W-state preparation for every row, then column checks, then diagonal
+    checks, built with the cyclic collector paused."""
     gates: list[Gate] = []
     for row in range(n):
         gates.extend(build_w_prep(n, row))

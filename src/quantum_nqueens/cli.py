@@ -1,8 +1,9 @@
 """Command-line interface for the quantum N-Queens pipeline.
 
 Exit codes: 0 success/verified, 1 verification mismatch (`solve`/`verify`
-unless `VerificationReport.ok`, `counts` on a built total off its closed
-form), 2 usage error, 3 resource bound exceeded (`solve`/`verify`/`sample`
+unless `VerificationReport.ok`, `counts` unless the built `GateCensus`
+equals the closed forms', naming on stderr each per-kind count that
+differs), 2 usage error, 3 resource bound exceeded (`solve`/`verify`/`sample`
 predicting a peak above MemAvailable, a predicted gate total above
 BUILD_GATE_CAP = 10**6 for `counts`/`export-qasm`, or an `oracle` board
 above ORACLE_CAP = 12), 4 output cannot be written (`export-qasm -o`, or a
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import analysis, board, circuit, qasm, sim
 
@@ -115,7 +117,6 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
         (name, getattr(predicted, key), None if built is None else getattr(built, key))
         for name, key in CENSUS_ROWS
     ]
-    mismatch = any(b is not None and b != closed for _, closed, b in rows)
     if args.format == "json":
         payload = {"n": n}
         for name, closed, built_val in rows:
@@ -128,7 +129,17 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
             built_str = "-" if built_val is None else str(built_val)
             status = "-" if built_val is None else "MATCH" if built_val == closed else "MISMATCH"
             print(f"{name:<20} {closed:>12} {built_str:>12} {status:>10}", file=out)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    if built is None or built == predicted:
+        return EXIT_OK
+    if built.counts != predicted.counts:  # no row shows a per-kind count, so name them here
+        got, want = Counter(built.counts), Counter(predicted.counts)
+        diffs = [
+            f"{kind} built {got[kind]}, closed form {want[kind]}"
+            for kind in dict.fromkeys([*want, *got])
+            if got[kind] != want[kind]
+        ]
+        print(f"census mismatch: {'; '.join(diffs)}", file=sys.stderr)
+    return EXIT_MISMATCH
 
 
 def cmd_sample(args: argparse.Namespace, out) -> int:

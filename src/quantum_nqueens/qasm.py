@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, RegisterLayout, layout
+from .circuit import Circuit, Gate, RegisterLayout, gc_paused, layout
 
 
 class QasmParseError(ValueError):
@@ -112,12 +112,14 @@ def _angle(text: str) -> float:
     raise ValueError(f"bad angle {text!r}")
 
 
+@gc_paused()
 def parse_qasm_subset(text: str) -> Circuit:
     """Parse text produced by export_qasm back into a Circuit.
 
     CRY is left in its decomposed ry/cx form (unitarily identical). Anything
     outside the emitted subset raises QasmParseError with the line number.
-    A measure must write a bit of the one declared creg.
+    A measure must write a bit of the one declared creg. Parsed with the
+    cyclic collector paused.
     """
     lay: RegisterLayout | None = None
     creg: tuple[str, int] | None = None

@@ -218,13 +218,8 @@ def readout(state: SparseState) -> list[tuple[int, complex]]:
     return list(zip(_to_ints(state.labels[order]), state.amps[order].tolist()))
 
 
-def sample_rows(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw shots i.i.d. with probability |amp|^2, as row positions.
-
-    Returns the readout order of the state's terms and each shot's index into
-    it. Inverse-CDF over that canonical order, so a seed fully determines the
-    shot sequence.
-    """
+def _inverse_cdf(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The readout order, its cumulative |amp|^2 and the seeded uniform draws."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     norm = state.norm_squared()
@@ -234,9 +229,26 @@ def sample_rows(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, 
     order = _readout_order(state)
     cdf = np.cumsum(np.abs(state.amps[order]) ** 2)
     cdf[-1] = 1.0  # guard the top bin against rounding
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
+    return order, cdf, np.random.default_rng(seed).random(shots)
+
+
+def sample_rows(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw shots i.i.d. with probability |amp|^2, as row positions.
+
+    Returns the readout order of the state's terms and each shot's index into
+    it. Inverse-CDF over that canonical order, so a seed fully determines the
+    shot sequence: row i takes the draws in [cdf[i-1], cdf[i]).
+    """
+    order, cdf, draws = _inverse_cdf(state, shots, seed)
     return order, np.searchsorted(cdf, draws, side="right")
+
+
+def sample_counts(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shots of `sample_rows` counted per row: the readout order and each
+    row's count, read off the sorted draws by one search per row."""
+    order, cdf, draws = _inverse_cdf(state, shots, seed)
+    draws.sort()
+    return order, np.diff(np.searchsorted(draws, cdf, side="left"), prepend=0)
 
 
 def sample(state: SparseState, shots: int, seed: int) -> list[int]:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import pickle
 import random
@@ -6,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from quantum_nqueens import sim
+from quantum_nqueens import circuit, qasm, sim
 from quantum_nqueens.board import diagonal_pairs
 from quantum_nqueens.circuit import (
     Circuit,
@@ -22,6 +23,7 @@ from quantum_nqueens.circuit import (
     diagonal_pair_count_simplified,
     diagonal_pair_count_sum,
     gate_census,
+    gc_paused,
     layout,
     qubit_total,
     w_prep_gate_count,
@@ -318,6 +320,58 @@ class TestFullCircuit:
 
     def test_n4_qubits(self):
         assert build_full_circuit(4).layout.q_total == 25
+
+
+class TestCollectorPause:
+    """The two gate-list producers run with the cyclic collector off and leave
+    it as they found it, on or off, whether they return or raise."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_block_runs_paused(self, collector):
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() == collector
+
+    def test_build_restores_the_collector(self, collector, monkeypatch):
+        seen = []
+        build = circuit.build_diagonal_checks
+        monkeypatch.setattr(
+            circuit, "build_diagonal_checks", lambda n: seen.append(gc.isenabled()) or build(n)
+        )
+        assert len(build_full_circuit(5).gates) == sum(closed_form_census(5).counts.values())
+        assert seen == [False]
+        assert gc.isenabled() == collector
+
+    def test_build_restores_the_collector_when_it_raises(self, collector):
+        with pytest.raises(ValueError, match="board size must be >= 1"):
+            build_full_circuit(0)
+        assert gc.isenabled() == collector
+
+    def test_parse_restores_the_collector(self, collector, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            qasm, "Gate", lambda *args: seen.append(gc.isenabled()) or Gate(*args)
+        )
+        text = qasm.export_qasm(build_full_circuit(3)).text
+        assert len(qasm.parse_qasm_subset(text).gates) == len(seen) > 0
+        assert not any(seen)
+        assert gc.isenabled() == collector
+
+    def test_parse_restores_the_collector_when_it_raises(self, collector):
+        lines = qasm.export_qasm(build_full_circuit(3)).text.splitlines()
+        bad = lines.index("ccx q[0],q[4],q[11];")
+        lines[bad] = "ccx q[0],q[4],q[0];"  # one bad line in the gate block
+        with pytest.raises(qasm.QasmParseError) as err:
+            qasm.parse_qasm_subset("\n".join(lines))
+        assert err.value.lineno == bad + 1
+        assert str(err.value) == f"line {bad + 1}: gate operands must be distinct"
+        assert gc.isenabled() == collector
 
 
 class TestCensus:

@@ -12,6 +12,8 @@ from quantum_nqueens import circuit, cli, sim
 from quantum_nqueens.analysis import OutcomeRecord, encode
 from quantum_nqueens.qasm import parse_qasm_subset
 
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+
 
 def invoke(argv):
     out = io.StringIO()
@@ -243,6 +245,20 @@ class TestCounts:
         code, text = invoke(["verify", "4", "--format", "json"])
         assert code == cli.EXIT_MISMATCH
         assert json.loads(text)["census_ok"] is False
+
+    def test_per_kind_mismatch_exits_1_under_four_match_rows(self, monkeypatch, capsys):
+        build = circuit.build_full_circuit
+
+        def padded(n):
+            built = build(n)
+            extra = (circuit.Gate("X", (0,)), circuit.Gate("X", (0,)))
+            return circuit.Circuit(built.layout, built.gates + extra)
+
+        monkeypatch.setattr(circuit, "build_full_circuit", padded)
+        code, text = invoke(["counts", "4"])
+        assert code == cli.EXIT_MISMATCH
+        assert text == (GOLDEN / "counts_4.out").read_text()
+        assert capsys.readouterr().err == "census mismatch: X built 12, closed form 10\n"
 
     @pytest.mark.parametrize("over", [0, 1])
     def test_cap_is_on_the_predicted_gate_total(self, monkeypatch, over):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from quantum_nqueens.sim import (
     readout,
     run,
     sample,
+    sample_counts,
     sample_rows,
 )
 
@@ -319,6 +321,25 @@ class TestSample:
             bitstring(lbl, 25) for lbl in state.terms
         )
         assert sorted(order.tolist()) == list(range(len(state)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("name", ["n4", "one-term", "norm-over-1"])
+    def test_counts_equal_the_counted_rows(self, name, seed):
+        states = {
+            "n4": lambda: run(build_full_circuit(4)),
+            "one-term": lambda: init_state(layout(2)),
+            # Readout order 0, 2, 1: the running sum passes 1.0 before the forced last bin.
+            "norm-over-1": lambda: SparseState(
+                layout(2), {0: math.sqrt(0.6), 2: math.sqrt(0.4 + 4e-7), 1: math.sqrt(1e-7)}
+            ),
+        }
+        state = states[name]()
+        order, positions = sample_rows(state, 2000, seed)
+        if name == "norm-over-1":
+            assert np.cumsum(np.abs(state.amps[order]) ** 2)[-2] > 1.0
+        counted_order, counts = sample_counts(state, 2000, seed)
+        assert counted_order.tolist() == order.tolist()
+        assert counts.tolist() == np.bincount(positions, minlength=len(order)).tolist()
 
     def test_rng_algorithm_documented(self):
         assert RNG_ALGORITHM == "PCG64"
