@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -145,12 +145,15 @@ class VerificationReport:
     n: int
     quantum_solutions: list[tuple[int, ...]]
     classical_solutions: list[tuple[int, ...]]
-    equal: bool
+    equal: bool = field(init=False)
     success_probability: float
     census_ok: bool
     ancilla_mismatches: int
-    seed: int | None = None
-    rng_algorithm: str | None = None
+    seed: None = field(init=False, default=None)
+    rng_algorithm: None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "equal", self.quantum_solutions == self.classical_solutions)
 
     @property
     def probability_ok(self) -> bool:
@@ -192,7 +195,6 @@ def verify_against_oracle(n: int) -> VerificationReport:
         n=n,
         quantum_solutions=quantum,
         classical_solutions=classical,
-        equal=quantum == classical,
         success_probability=success_probability,
         census_ok=circuit_mod.gate_census(circuit) == circuit_mod.closed_form_census(n),
         ancilla_mismatches=mismatches,
@@ -204,7 +206,7 @@ class SamplingReport:
     n: int
     shots: int
     seed: int
-    rng_algorithm: str
+    rng_algorithm: str = field(init=False, default=sim_mod.RNG_ALGORITHM)
     distinct_outcomes: int
     solution_hits: int
     chi_square: float | None
@@ -219,9 +221,12 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     chi-square uniformity statistic over the state's support.
 
     Shots are counted per term in readout order (`sim.sample_counts`), and
-    each term hit at least once is decoded in one array pass. A hit label
-    that breaks the one-queen-per-row encoding raises the scalar `decode`'s
-    `EncodingError`, for the earliest such shot. Chi-square is degenerate
+    each term hit at least once is decoded in one array pass. If a hit label
+    breaks the one-queen-per-row encoding, the shots of `sim.sample` are
+    decoded in draw order, so the earliest bad one raises `EncodingError`.
+    Only a malformed state from the API gets there (the CLI's comes from the
+    circuit), and that path holds each shot as a Python int, 44-60 B at n=5,
+    above the CLI's bound of 16 B per shot. Chi-square is degenerate
     (reported as None) when the support has a single outcome.
     """
     from scipy.special import chdtrc  # only sampling needs scipy; it is slow to import
@@ -230,12 +235,9 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
     hit = np.flatnonzero(counts)
     cols, col_anc, diag_anc = decode_rows(state.labels[order[hit]], state.layout)
 
-    bad = (cols < 0).any(axis=1)
-    if bad.any():  # the shots in draw order find the earliest bad one
-        positions = sim_mod.sample_rows(state, shots, seed)[1]
-        first = positions[np.isin(positions, hit[bad])][0]
-        label = sim_mod._to_ints(state.labels[order[[first]]])[0]
-        decode(label, state.layout)  # raises
+    if (cols < 0).any():
+        for label in sim_mod.sample(state, shots, seed):
+            decode(label, state.layout)  # raises at the earliest bad shot
     solution = col_anc.all(axis=1) & diag_anc.all(axis=1)
 
     chi_square = p_value = None
@@ -248,7 +250,6 @@ def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport
         n=state.layout.n,
         shots=shots,
         seed=seed,
-        rng_algorithm=sim_mod.RNG_ALGORITHM,
         distinct_outcomes=len(hit),
         solution_hits=int(counts[hit[solution]].sum()),
         chi_square=chi_square,

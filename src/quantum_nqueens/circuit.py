@@ -15,6 +15,7 @@ import contextlib
 import gc
 import itertools
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,8 +53,10 @@ class Gate(_GateFields):
         if arity > 1 and len(set(qubits)) != arity:
             raise ValueError("gate operands must be distinct")
         if kind in _PARAMETRIC:
-            if theta is None or not math.isfinite(theta):
+            # float first: it decides the usual case without the slow ABC check
+            if not (isinstance(theta, (float, numbers.Real)) and math.isfinite(theta)):
                 raise ValueError(f"{kind} requires a finite angle")
+            theta = float(theta)  # a numpy scalar would export as its repr, np.float64(...)
         elif theta is not None:
             raise ValueError(f"{kind} takes no angle")
         return tuple.__new__(cls, (kind, qubits, theta))
@@ -72,7 +75,12 @@ class Gate(_GateFields):
 @dataclass(frozen=True)
 class RegisterLayout:
     n: int
-    q_total: int
+    q_total: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"board size must be >= 1, got {self.n}")
+        object.__setattr__(self, "q_total", self.n_system + self.n_col_anc + self.n_diag_anc)
 
     @property
     def n_system(self) -> int:
@@ -141,10 +149,7 @@ def gc_paused():
 
 
 def layout(n: int) -> RegisterLayout:
-    if n < 1:
-        raise ValueError(f"board size must be >= 1, got {n}")
-    q_total = n * n + (n - 1) + n * (n - 1) // 2
-    return RegisterLayout(n=n, q_total=q_total)
+    return RegisterLayout(n)
 
 
 def build_w_prep(n: int, row: int) -> list[Gate]:

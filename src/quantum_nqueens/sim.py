@@ -25,6 +25,7 @@ string built per term.
 from __future__ import annotations
 
 import math
+import operator
 from types import MappingProxyType
 from typing import Mapping
 
@@ -58,17 +59,22 @@ def _to_ints(labels: np.ndarray) -> list[int]:
 class SparseState:
     """A state's terms as parallel `labels` and `amps` arrays (read-only).
 
-    Built from a mapping of Python-int labels to amplitudes; `terms` reads the
-    state back as such a mapping, built on first use and cached.
+    Built from a mapping of integer labels (Python or numpy ints) to
+    amplitudes; `terms` reads the state back as a mapping with Python-int
+    labels, built on first use and cached.
     """
 
     def __init__(self, layout: RegisterLayout, terms: Mapping[int, complex] | None = None):
         terms = {} if terms is None else terms
-        if any(lbl < 0 or lbl >> layout.q_total for lbl in terms):
+        try:
+            ints = list(map(operator.index, terms))
+        except TypeError:
+            raise ValueError("state labels must be integers") from None
+        if any(lbl < 0 or lbl >> layout.q_total for lbl in ints):
             raise ValueError(f"label out of range for {layout.q_total} qubits")
         width = -(-layout.q_total // WORD_BITS)
         labels = np.array(
-            [[lbl >> (WORD_BITS * w) & _WORD_MASK for w in range(width)] for lbl in terms],
+            [[lbl >> (WORD_BITS * w) & _WORD_MASK for w in range(width)] for lbl in ints],
             dtype=np.uint64,
         ).reshape(len(terms), width)
         self._init(layout, labels, np.array(list(terms.values()), dtype=np.complex128))
@@ -232,26 +238,20 @@ def _inverse_cdf(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray,
     return order, cdf, np.random.default_rng(seed).random(shots)
 
 
-def sample_rows(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw shots i.i.d. with probability |amp|^2, as row positions.
+def sample(state: SparseState, shots: int, seed: int) -> list[int]:
+    """Draw basis labels i.i.d. with probability |amp|^2.
 
-    Returns the readout order of the state's terms and each shot's index into
-    it. Inverse-CDF over that canonical order, so a seed fully determines the
-    shot sequence: row i takes the draws in [cdf[i-1], cdf[i]).
+    Inverse-CDF over the canonical readout order, so a seed fully determines
+    the shot sequence: the term at readout position i takes the draws in
+    [cdf[i-1], cdf[i]).
     """
     order, cdf, draws = _inverse_cdf(state, shots, seed)
-    return order, np.searchsorted(cdf, draws, side="right")
+    return _to_ints(state.labels[order[np.searchsorted(cdf, draws, side="right")]])
 
 
 def sample_counts(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shots of `sample_rows` counted per row: the readout order and each
-    row's count, read off the sorted draws by one search per row."""
+    """The shots of `sample` counted per term: the readout order and each
+    term's count, read off the sorted draws by one search per term."""
     order, cdf, draws = _inverse_cdf(state, shots, seed)
     draws.sort()
     return order, np.diff(np.searchsorted(draws, cdf, side="left"), prepend=0)
-
-
-def sample(state: SparseState, shots: int, seed: int) -> list[int]:
-    """Draw basis labels i.i.d. with probability |amp|^2 (see `sample_rows`)."""
-    order, positions = sample_rows(state, shots, seed)
-    return _to_ints(state.labels[order[positions]])

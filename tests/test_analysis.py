@@ -14,6 +14,7 @@ from quantum_nqueens.analysis import (
     EncodingError,
     OutcomeRecord,
     SamplingReport,
+    VerificationReport,
     ancilla_truth,
     decode,
     decode_rows,
@@ -337,6 +338,43 @@ class TestVerifyAgainstOracle:
         assert obj["equal"] is True
         assert obj["quantum_solutions"] == [[1, 3, 0, 2], [2, 0, 3, 1]]
 
+    def test_equal_is_derived_from_the_solution_lists(self):
+        report = VerificationReport(
+            n=4,
+            quantum_solutions=[(1, 3, 0, 2)],
+            classical_solutions=[(1, 3, 0, 2), (2, 0, 3, 1)],
+            success_probability=2 / 256,
+            census_ok=True,
+            ancilla_mismatches=0,
+        )
+        assert report.equal is False
+        assert report.ok is False
+        assert (report.seed, report.rng_algorithm) == (None, None)
+
+    @pytest.mark.parametrize(
+        "report, name",
+        [
+            (VerificationReport, "equal"),
+            (VerificationReport, "seed"),
+            (VerificationReport, "rng_algorithm"),
+            (SamplingReport, "rng_algorithm"),
+        ],
+    )
+    def test_derived_fields_are_not_arguments(self, report, name):
+        arguments = {
+            VerificationReport: dict(
+                n=1, quantum_solutions=[(0,)], classical_solutions=[(0,)],
+                success_probability=1.0, census_ok=True, ancilla_mismatches=0,
+            ),
+            SamplingReport: dict(
+                n=1, shots=1, seed=0, distinct_outcomes=1, solution_hits=1,
+                chi_square=None, p_value=None,
+            ),
+        }[report]
+        assert getattr(report(**arguments), name) in (True, None, "PCG64")
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            report(**arguments, **{name: None})
+
     def test_all_ones_col_anc_implies_permutation(self):
         # operational form of the parity proposition
         state = sim.run(build_full_circuit(4))
@@ -372,7 +410,6 @@ def shot_by_shot_report(state, shots, seed):
         n=state.layout.n,
         shots=shots,
         seed=seed,
-        rng_algorithm="PCG64",
         distinct_outcomes=len(observed),
         solution_hits=sum(
             observed[lbl] for lbl, r in records.items() if all(r.col_anc) and all(r.diag_anc)

@@ -12,6 +12,7 @@ from quantum_nqueens.board import diagonal_pairs
 from quantum_nqueens.circuit import (
     Circuit,
     Gate,
+    RegisterLayout,
     ancilla_index,
     build_column_checks,
     build_diagonal_checks,
@@ -61,6 +62,18 @@ class TestLayout:
         with pytest.raises(ValueError):
             layout(0)
 
+    def test_width_is_derived_from_n(self):
+        with pytest.raises(TypeError):
+            RegisterLayout(n=4, q_total=5)
+        assert RegisterLayout(4) == layout(4)
+        assert hash(RegisterLayout(4)) == hash(layout(4))
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, "4"])
+    def test_type_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError) as err:
+            RegisterLayout(n)
+        assert str(err.value) == f"board size must be >= 1, got {n}"
+
 
 class TestGate:
     def test_unknown_kind(self):
@@ -97,6 +110,8 @@ class TestGate:
             ("CX", (0, "1"), None, "gate operands must be integers"),
             ("SWAP", (0.5,), None, "unknown gate kind 'SWAP'"),
             ("X", (0.5, 1), None, "gate operands must be integers"),
+            ("RY", (0,), "1.0", "RY requires a finite angle"),
+            ("CRY", (0, 1), 1j, "CRY requires a finite angle"),
         ],
     )
     def test_every_check_raises(self, kind, qubits, theta, message):
@@ -138,6 +153,14 @@ class TestGate:
         g = Gate("CRY", (0, 1), 0.7)
         assert g.inverse().theta == -0.7
         assert Gate("H", (0,)).inverse() == Gate("H", (0,))
+
+    @pytest.mark.parametrize("theta", [np.float64(0.5), np.float32(0.1), 2])
+    def test_angle_becomes_a_float_that_round_trips(self, theta):
+        gate = Gate("RY", (0,), theta)
+        assert type(gate.theta) is float and gate.theta == theta
+        assert type(gate.inverse().theta) is float
+        exported = qasm.export_qasm(Circuit(layout(1), (gate,))).text
+        assert qasm.parse_qasm_subset(exported).gates == (gate,)
 
 
 class TestCircuit:

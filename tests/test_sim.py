@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from quantum_nqueens.sim import (
     run,
     sample,
     sample_counts,
-    sample_rows,
 )
 
 
@@ -257,6 +257,18 @@ class TestMultiwordLabels:
         with pytest.raises(ValueError):
             SparseState(self.LAYOUT, {label: 1.0 + 0j})
 
+    @pytest.mark.parametrize("lay", [layout(4), LAYOUT], ids=["1-word", "2-words"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_numpy_integer_labels(self, lay, dtype):
+        terms = {5: 0.6 + 0j, 2 ** min(lay.q_total - 1, 62): 0.8 + 0j}  # int64 holds 2**62
+        state = SparseState(lay, {dtype(lbl): amp for lbl, amp in terms.items()})
+        assert state.terms == terms
+        assert all(type(lbl) is int for lbl in state.terms)
+
+    def test_label_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="state labels must be integers"):
+            SparseState(layout(4), {5.0: 1.0 + 0j})
+
     # layout(10) has 154 qubits: three words, so two word boundaries.
     @pytest.mark.parametrize("lay", [LAYOUT, layout(10)], ids=["2-words", "3-words"])
     @settings(max_examples=100, deadline=None)
@@ -314,13 +326,14 @@ class TestSample:
 
     def test_rows_index_the_readout_order(self):
         state = run(build_full_circuit(4))
-        order, positions = sample_rows(state, 310, seed=3)
+        order, counts = sample_counts(state, 310, seed=3)
         labels = [lbl for lbl, _ in readout(state)]
-        assert [labels[p] for p in positions.tolist()] == sample(state, 310, seed=3)
+        assert state.labels[order].tolist() == [[lbl] for lbl in labels]
         assert [bitstring(lbl, 25) for lbl in labels] == sorted(
             bitstring(lbl, 25) for lbl in state.terms
         )
         assert sorted(order.tolist()) == list(range(len(state)))
+        assert counts.sum() == 310
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     @pytest.mark.parametrize("name", ["n4", "one-term", "norm-over-1"])
@@ -334,12 +347,12 @@ class TestSample:
             ),
         }
         state = states[name]()
-        order, positions = sample_rows(state, 2000, seed)
+        order, counts = sample_counts(state, 2000, seed)
         if name == "norm-over-1":
             assert np.cumsum(np.abs(state.amps[order]) ** 2)[-2] > 1.0
-        counted_order, counts = sample_counts(state, 2000, seed)
-        assert counted_order.tolist() == order.tolist()
-        assert counts.tolist() == np.bincount(positions, minlength=len(order)).tolist()
+        shots = Counter(sample(state, 2000, seed))
+        labels = [lbl for lbl, _ in readout(state)]
+        assert counts.tolist() == [shots[lbl] for lbl in labels]
 
     def test_rng_algorithm_documented(self):
         assert RNG_ALGORITHM == "PCG64"
