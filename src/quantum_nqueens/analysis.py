@@ -19,6 +19,7 @@ import numpy as np
 
 from . import board as board_mod
 from . import circuit as circuit_mod
+from . import planes as planes_mod
 from . import sim as sim_mod
 from .circuit import RegisterLayout
 from .sim import SparseState
@@ -65,33 +66,6 @@ def decode(label: int, layout: RegisterLayout) -> OutcomeRecord:
     bank = format(label >> n_system & (1 << width) - 1 | 1 << width, "b")
     anc = tuple(bank[:0:-1].encode().translate(_BITS))  # qubit n_system first
     return OutcomeRecord(cols, anc[:k], anc[k:])
-
-
-def decode_rows(
-    labels: np.ndarray, layout: RegisterLayout
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of `decode` over an (N, W) word array of labels.
-
-    Returns the (N, n) queen columns, -1 where a row's block does not hold
-    exactly one queen, and the (N, n-1) column- and (N, n(n-1)/2)
-    diagonal-ancilla bits as uint8. Each qubit is read with the engine's own
-    bit test, so labels of any word width decode the same way.
-    """
-    n, count = layout.n, len(labels)
-    cols = np.empty((count, n), dtype=np.min_scalar_type(-n))
-    for r in range(n):
-        col = np.zeros(count, dtype=cols.dtype)
-        queens = np.zeros(count, dtype=np.min_scalar_type(n))
-        for c in range(n):
-            b = sim_mod._all_set(labels, (layout.system_qubit(r, c),))
-            col[b] = c
-            queens += b
-        cols[:, r] = np.where(queens == 1, col, -1)
-
-    anc = np.empty((count, layout.q_total - layout.n_system), dtype=np.uint8)
-    for j, q in enumerate(range(layout.n_system, layout.q_total)):
-        anc[:, j] = sim_mod._all_set(labels, (q,))
-    return cols, anc[:, : n - 1], anc[:, n - 1 :]
 
 
 def encode(record: OutcomeRecord, layout: RegisterLayout) -> int:
@@ -216,42 +190,35 @@ class SamplingReport:
         return json.dumps(asdict(self))
 
 
-def sampling_report(state: SparseState, shots: int, seed: int) -> SamplingReport:
-    """Seeded measurement summary: distinct outcomes, solution hits, and a
-    chi-square uniformity statistic over the state's support.
+def sampling_report(n: int, shots: int, seed: int) -> SamplingReport:
+    """Seeded measurement summary of the n-circuit's final state: distinct
+    outcomes, solution hits, and a chi-square uniformity statistic over its
+    n^n boards.
 
-    Shots are counted per term in readout order (`sim.sample_counts`), and
-    each term hit at least once is decoded in one array pass. If a hit label
-    breaks the one-queen-per-row encoding, the shots of `sim.sample` are
-    decoded in draw order, so the earliest bad one raises `EncodingError`.
-    Only a malformed state from the API gets there (the CLI's comes from the
-    circuit), and that path holds each shot as a Python int, 44-60 B at n=5,
-    above the CLI's bound of 16 B per shot. Chi-square is degenerate
-    (reported as None) when the support has a single outcome.
+    The state is read from its planes (`planes.compile_circuit`), never as
+    terms: the shots of `sim.sample` on that state are counted per board in
+    readout order (`sim.sample_counts` over the product-form probabilities),
+    and the solution hits are the shots on the boards whose ancillas are all
+    1. Chi-square is degenerate (reported as None) when the support has a
+    single outcome.
     """
     from scipy.special import chdtrc  # only sampling needs scipy; it is slow to import
 
-    order, counts = sim_mod.sample_counts(state, shots, seed)
-    hit = np.flatnonzero(counts)
-    cols, col_anc, diag_anc = decode_rows(state.labels[order[hit]], state.layout)
-
-    if (cols < 0).any():
-        for label in sim_mod.sample(state, shots, seed):
-            decode(label, state.layout)  # raises at the earliest bad shot
-    solution = col_anc.all(axis=1) & diag_anc.all(axis=1)
+    planes = planes_mod.compile_circuit(circuit_mod.build_full_circuit(n))
+    counts = sim_mod.sample_counts(planes.probabilities(), shots, seed)
 
     chi_square = p_value = None
-    if len(order) > 1:
+    if len(counts) > 1:
         expected = counts.mean()
         chi_square = float(((counts - expected) ** 2 / expected).sum())
-        p_value = float(chdtrc(len(order) - 1, chi_square))
+        p_value = float(chdtrc(len(counts) - 1, chi_square))
 
     return SamplingReport(
-        n=state.layout.n,
+        n=n,
         shots=shots,
         seed=seed,
-        distinct_outcomes=len(hit),
-        solution_hits=int(counts[hit[solution]].sum()),
+        distinct_outcomes=int(np.count_nonzero(counts)),
+        solution_hits=int(counts[planes.selected()].sum()),
         chi_square=chi_square,
         p_value=p_value,
     )

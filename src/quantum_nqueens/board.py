@@ -8,7 +8,16 @@ queen. A solution is that vector as a tuple.
 from __future__ import annotations
 
 import itertools
+import numbers
+import operator
 from typing import Iterator, Sequence
+
+
+def board_size(n) -> int:
+    """n as a Python int, if it is an integer board size of at least 1."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"board size must be >= 1, got {n}")
+    return operator.index(n)
 
 
 def is_diagonal(i: int, x: int, j: int, y: int) -> bool:
@@ -36,8 +45,7 @@ def is_valid_solution(cols: Sequence[int]) -> bool:
 
 def solve_classical(n: int) -> list[tuple[int, ...]]:
     """All N-Queens solutions by row-by-row backtracking, sorted: columns are tried in order."""
-    if n < 1:
-        raise ValueError(f"board size must be >= 1, got {n}")
+    n = board_size(n)
     full = (1 << n) - 1
     solutions: list[tuple[int, ...]] = []
     cols: list[int] = []
@@ -67,8 +75,7 @@ def diagonal_pairs(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     only partners of (i, x) are y = x - d and y = x + d, so the cost is
     O(pairs) = n(n-1)(2n-1)/3 rather than a test of every cell pair.
     """
-    if n < 1:
-        raise ValueError(f"board size must be >= 1, got {n}")
+    n = board_size(n)
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .board import diagonal_pairs
+from .board import board_size, diagonal_pairs
 
 _ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
 _PARAMETRIC = {"RY", "CRY"}
@@ -78,8 +78,7 @@ class RegisterLayout:
     q_total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ValueError(f"board size must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", board_size(self.n))
         object.__setattr__(self, "q_total", self.n_system + self.n_col_anc + self.n_diag_anc)
 
     @property
@@ -117,6 +116,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        # A tuple: a caller's list could change after the checks below.
+        object.__setattr__(self, "gates", tuple(self.gates))
         q_total = self.layout.q_total
         # C-level passes over the entries and all their operands; a generator names an offender.
         if not all(map(isinstance, self.gates, itertools.repeat(Gate))):
@@ -269,8 +270,7 @@ def gate_census(circuit: Circuit) -> GateCensus:
 
 def qubit_total(n: int) -> int:
     """Closed form 3n^2/2 + n/2 - 1, kept in exact integer arithmetic."""
-    if n < 1:
-        raise ValueError(f"board size must be >= 1, got {n}")
+    n = board_size(n)
     return (3 * n * n + n - 2) // 2
 
 
@@ -301,8 +301,7 @@ def w_prep_gate_count(n: int) -> int:
 
 def closed_form_census(n: int) -> GateCensus:
     """Predicted census from the closed forms, without building a circuit."""
-    if n < 1:
-        raise ValueError(f"board size must be >= 1, got {n}")
+    n = board_size(n)
     n_col = n - 1 if n >= 2 else 0
     counts = {
         "X": n + n * (n - 1) // 2,  # W-prep seeds + diagonal ancilla init

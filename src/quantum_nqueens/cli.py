@@ -33,6 +33,13 @@ CLOSED_FORM_CAP = 10**6
 BUILD_GATE_CAP = 10**6
 # RSS above the n=1 run over the 2*n**n terms' bytes: up to 12.6x at n=5, 6.7x at n=6, 4.3x at n=7.
 TEMPORARIES = 16
+# `sample` RSS above an interpreter that has imported this module, fitted from
+# child ru_maxrss at n=5..8: scipy.special and fixed costs 26-28 MiB, then
+# 45 bytes per board (probability, CDF, searches and counts at 8 bytes each,
+# and the ancilla bit planes), and each drawn float.
+SAMPLE_FIXED_BYTES = 28 << 20
+SAMPLE_BOARD_BYTES = 48
+SAMPLE_SHOT_BYTES = 8
 # Backtracking grows about 5x per board size (0.6 to 0.8 s at n=12), so larger boards are refused.
 ORACLE_CAP = 12
 # The `counts` rows: each label and the `GateCensus` total it compares.
@@ -57,17 +64,23 @@ def _available_bytes() -> int:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _predicted_bytes(n: int, shots: int = 0) -> int:
-    """Peak bytes to simulate board n (2*n**n terms at most) and hold `shots` shots."""
+def _predicted_bytes(n: int) -> int:
+    """Peak bytes of `solve`/`verify`: simulating board n, 2*n**n terms at most."""
     words = -(-circuit.closed_form_census(n).qubits // sim.WORD_BITS)
-    return 2 * n**n * (8 * words + 16) * TEMPORARIES + 16 * shots
+    return 2 * n**n * (8 * words + 16) * TEMPORARIES
 
 
-def _check_memory(n: int, shots: int = 0) -> None:
+def _predicted_sample_bytes(n: int, shots: int) -> int:
+    """Peak bytes of `sample`: the planes of board n's n**n boards and `shots` draws."""
+    return SAMPLE_FIXED_BYTES + SAMPLE_BOARD_BYTES * n**n + SAMPLE_SHOT_BYTES * shots
+
+
+def _check_memory(n: int, predicted_bytes) -> None:
+    """Refuse board n when `predicted_bytes(n)` is above the available memory."""
     available = _available_bytes()
     # n**n is evaluated only up to n=16: from n=17, n*log2(n) > 64 and no memory
     # holds the terms (past 4,300 digits an int cannot even be printed).
-    peak = _predicted_bytes(n, shots) if n <= 16 else 2**64
+    peak = predicted_bytes(n) if n <= 16 else 2**64
     if peak > available:
         need = f"{peak >> 20} MiB" if n <= 16 else "over 2**64 bytes"
         raise ResourceCapError(f"n={n} predicts {need} at peak; {available >> 20} MiB available")
@@ -84,7 +97,7 @@ def _board_ascii(cols: tuple[int, ...]) -> str:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     """Certify board n; `solve` draws the boards, `verify` the fields. Exits by `report.ok`."""
-    _check_memory(args.n)
+    _check_memory(args.n, _predicted_bytes)
     report = analysis.verify_against_oracle(args.n)
     if args.format == "json":
         print(report.to_json(), file=out)
@@ -143,9 +156,8 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, out) -> int:
-    _check_memory(args.n, args.shots)
-    state = sim.run(circuit.build_full_circuit(args.n))
-    report = analysis.sampling_report(state, shots=args.shots, seed=args.seed)
+    _check_memory(args.n, lambda n: _predicted_sample_bytes(n, args.shots))
+    report = analysis.sampling_report(args.n, shots=args.shots, seed=args.seed)
     if args.format == "json":
         print(report.to_json(), file=out)
     else:

@@ -224,18 +224,18 @@ def readout(state: SparseState) -> list[tuple[int, complex]]:
     return list(zip(_to_ints(state.labels[order]), state.amps[order].tolist()))
 
 
-def _inverse_cdf(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, ...]:
-    """The readout order, its cumulative |amp|^2 and the seeded uniform draws."""
+def _inverse_cdf(
+    probabilities: np.ndarray, norm: float, shots: int, seed: int
+) -> tuple[np.ndarray, ...]:
+    """The cumulative probabilities and the seeded uniform draws, once the
+    shot count and the state's norm^2 `norm` are checked."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    norm = state.norm_squared()
     if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also refuses a NaN norm
         raise StateNormError(f"state norm^2 = {norm!r}, expected 1")
-
-    order = _readout_order(state)
-    cdf = np.cumsum(np.abs(state.amps[order]) ** 2)
+    cdf = np.cumsum(probabilities)
     cdf[-1] = 1.0  # guard the top bin against rounding
-    return order, cdf, np.random.default_rng(seed).random(shots)
+    return cdf, np.random.default_rng(seed).random(shots)
 
 
 def sample(state: SparseState, shots: int, seed: int) -> list[int]:
@@ -245,13 +245,16 @@ def sample(state: SparseState, shots: int, seed: int) -> list[int]:
     the shot sequence: the term at readout position i takes the draws in
     [cdf[i-1], cdf[i]).
     """
-    order, cdf, draws = _inverse_cdf(state, shots, seed)
+    order = _readout_order(state)
+    probabilities = np.abs(state.amps[order]) ** 2
+    cdf, draws = _inverse_cdf(probabilities, state.norm_squared(), shots, seed)
     return _to_ints(state.labels[order[np.searchsorted(cdf, draws, side="right")]])
 
 
-def sample_counts(state: SparseState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shots of `sample` counted per term: the readout order and each
-    term's count, read off the sorted draws by one search per term."""
-    order, cdf, draws = _inverse_cdf(state, shots, seed)
+def sample_counts(probabilities: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The shots of `sample` counted per outcome, given the outcomes'
+    probabilities in readout order, read off the sorted draws by one search
+    per outcome."""
+    cdf, draws = _inverse_cdf(probabilities, float(probabilities.sum()), shots, seed)
     draws.sort()
-    return order, np.diff(np.searchsorted(draws, cdf, side="left"), prepend=0)
+    return np.diff(np.searchsorted(draws, cdf, side="left"), prepend=0)

@@ -2,12 +2,11 @@ import itertools
 import json
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from quantum_nqueens import analysis, sim
+from quantum_nqueens import analysis, planes, sim
 from quantum_nqueens import circuit as circuit_mod
 from quantum_nqueens.analysis import (
     PROBABILITY_TOLERANCE,
@@ -17,7 +16,6 @@ from quantum_nqueens.analysis import (
     VerificationReport,
     ancilla_truth,
     decode,
-    decode_rows,
     encode,
     postselect_solutions,
     sampling_report,
@@ -145,14 +143,6 @@ class TestDecode:
             )
 
 
-def words(labels, width):
-    """(N, width) uint64 array of Python-int labels, low word first."""
-    mask = (1 << 64) - 1
-    return np.array(
-        [[lbl >> 64 * w & mask for w in range(width)] for lbl in labels], dtype=np.uint64
-    ).reshape(len(labels), width)
-
-
 @st.composite
 def row_labels(draw):
     """Labels at one n in 1..8, drawn row by row: each row holds 0 to 3
@@ -173,18 +163,27 @@ def row_labels(draw):
 
 
 class TestDecodeRows:
+    """The plane path's board rows, queen columns from each board's readout
+    position and ancilla bits from the planes, against `decode` of the
+    engine's term at that position; and `decode` on rows without one queen."""
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_decode_on_every_term(self, n):
-        state = sim.run(build_full_circuit(n))
-        cols, col_anc, diag_anc = decode_rows(state.labels, state.layout)
-        assert cols.shape == (len(state), n) and cols.dtype == np.int8
-        assert col_anc.shape == (len(state), n - 1) and col_anc.dtype == np.uint8
-        assert diag_anc.shape == (len(state), n * (n - 1) // 2) and diag_anc.dtype == np.uint8
-        for i, lbl in enumerate(state.terms):
-            record = decode(lbl, state.layout)
-            assert tuple(cols[i].tolist()) == record.cols
-            assert tuple(col_anc[i].tolist()) == record.col_anc
-            assert tuple(diag_anc[i].tolist()) == record.diag_anc
+        circuit = build_full_circuit(n)
+        compiled = planes.compile_circuit(circuit)
+        count = circuit.layout.q_total - circuit.layout.n_system
+        bits = [[plane >> j % 8 & 1 for plane in compiled.ancillas[j // 8].tolist()]
+                for j in range(count)]
+        ancillas = list(zip(*bits)) if count else [()] * n**n
+        selected = compiled.selected().tolist()
+        # Readout order counts in mixed radix, row 0 first, columns descending.
+        boards = itertools.product(range(n - 1, -1, -1), repeat=n)
+        terms = sim.readout(sim.run(circuit))
+        assert len(terms) == n**n
+        for (label, _), cols, anc, chosen in zip(terms, boards, ancillas, selected):
+            record = decode(label, circuit.layout)
+            assert record == (cols, anc[: n - 1], anc[n - 1 :])
+            assert chosen == (all(record.col_anc) and all(record.diag_anc))
 
     @settings(max_examples=300, deadline=None)
     @given(row_labels())
@@ -194,10 +193,7 @@ class TestDecodeRows:
     def test_flags_exactly_the_rows_decode_rejects(self, case):
         n, cases = case
         lay = layout(n)
-        labels = [label for label, _ in cases]
-        cols, col_anc, diag_anc = decode_rows(words(labels, -(-lay.q_total // 64)), lay)
-        for i, (label, rows) in enumerate(cases):
-            assert cols[i].tolist() == [min(row) if len(row) == 1 else -1 for row in rows]
+        for label, rows in cases:
             bad = [r for r, row in enumerate(rows) if len(row) != 1]
             if bad:
                 with pytest.raises(EncodingError) as err:
@@ -205,12 +201,10 @@ class TestDecodeRows:
                 assert str(err.value) == (
                     f"row {bad[0]} holds {len(rows[bad[0]])} queens, expected 1"
                 )
-                record = per_qubit_ancillas(label, lay)
             else:
                 record = decode(label, lay)
-                assert tuple(cols[i].tolist()) == record.cols
-            assert tuple(col_anc[i].tolist()) == record.col_anc
-            assert tuple(diag_anc[i].tolist()) == record.diag_anc
+                assert record.cols == tuple(min(row) for row in rows)
+                assert record[1:] == per_qubit_ancillas(label, lay)[1:]
 
 
 class TestAncillaTruth:
@@ -385,11 +379,6 @@ class TestVerifyAgainstOracle:
 
 
 @pytest.fixture(scope="module")
-def n4_state():
-    return sim.run(build_full_circuit(4))
-
-
-@pytest.fixture(scope="module")
 def states():
     return {n: sim.run(build_full_circuit(n)) for n in (4, 5)}
 
@@ -420,42 +409,41 @@ def shot_by_shot_report(state, shots, seed):
 
 
 class TestSamplingReport:
-    def test_reproducible(self, n4_state):
-        a = sampling_report(n4_state, shots=310, seed=1)
-        b = sampling_report(n4_state, shots=310, seed=1)
+    def test_reproducible(self):
+        a = sampling_report(4, shots=310, seed=1)
+        b = sampling_report(4, shots=310, seed=1)
         assert a == b
 
-    def test_distinct_range(self, n4_state):
-        report = sampling_report(n4_state, shots=310, seed=1)
+    def test_distinct_range(self):
+        report = sampling_report(4, shots=310, seed=1)
         assert 150 <= report.distinct_outcomes <= 205
 
-    def test_seed_variation_consistent(self, n4_state):
+    def test_seed_variation_consistent(self):
         counts = [
-            sampling_report(n4_state, shots=310, seed=s).distinct_outcomes
+            sampling_report(4, shots=310, seed=s).distinct_outcomes
             for s in range(5)
         ]
         assert len(set(counts)) > 1
         assert all(150 <= c <= 205 for c in counts)
 
     def test_single_term_degenerate_chi_square(self):
-        state = sim.run(build_full_circuit(1))
-        report = sampling_report(state, shots=10, seed=0)
+        report = sampling_report(1, shots=10, seed=0)
         assert report.distinct_outcomes == 1
         assert report.solution_hits == 10
         assert report.chi_square is None
         assert report.p_value is None
 
-    def test_chi_square_reported(self, n4_state):
-        report = sampling_report(n4_state, shots=310, seed=1)
+    def test_chi_square_reported(self):
+        report = sampling_report(4, shots=310, seed=1)
         assert report.chi_square is not None
         assert 0.0 <= report.p_value <= 1.0
 
-    def test_zero_shots_rejected(self, n4_state):
+    def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            sampling_report(n4_state, shots=0, seed=0)
+            sampling_report(4, shots=0, seed=0)
 
-    def test_json_round_trip(self, n4_state):
-        report = sampling_report(n4_state, shots=50, seed=2)
+    def test_json_round_trip(self):
+        report = sampling_report(4, shots=50, seed=2)
         obj = json.loads(report.to_json())
         assert obj["rng_algorithm"] == "PCG64"
         assert obj["shots"] == 50
@@ -464,33 +452,16 @@ class TestSamplingReport:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [4, 5])
     def test_equals_the_shot_by_shot_reference(self, states, n, seed, shots):
-        report = sampling_report(states[n], shots=shots, seed=seed)
+        report = sampling_report(n, shots=shots, seed=seed)
         assert report == shot_by_shot_report(states[n], shots, seed)
         assert type(report.distinct_outcomes) is type(report.solution_hits) is int
 
-    def test_decodes_no_label_of_a_valid_state(self, n4_state, monkeypatch):
+    def test_decodes_no_label_of_a_valid_state(self, monkeypatch):
         def refuse(label, layout):
             raise AssertionError("scalar decode called")
 
         monkeypatch.setattr(analysis, "decode", refuse)
-        assert sampling_report(n4_state, shots=310, seed=1).solution_hits > 0
-
-    @pytest.mark.parametrize(
-        "seed,message",
-        [(0, "row 0 holds 0 queens, expected 1"), (1, "row 1 holds 2 queens, expected 1")],
-    )
-    def test_bad_label_error_names_the_first_bad_shot(self, seed, message):
-        # n=2: row 0 is qubits 0-1, row 1 is qubits 2-3. Label 4 has an empty
-        # row 0 and label 13 two queens in row 1; 4 reads out first.
-        lay = layout(2)
-        state = sim.SparseState(lay, dict.fromkeys([9, 57, 4, 13], 0.5 + 0j))
-        assert [lbl for lbl, _ in sim.readout(state)] == [4, 9, 57, 13]
-        shots = sim.sample(state, 8, seed)
-        first_bad = next(lbl for lbl in shots if lbl in (4, 13))
-        assert first_bad == (4 if seed == 0 else 13)
-        with pytest.raises(EncodingError) as err:
-            sampling_report(state, shots=8, seed=seed)
-        assert str(err.value) == message
+        assert sampling_report(4, shots=310, seed=1).solution_hits > 0
 
 
 class TestAncillaTruthMatchesCircuit:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,6 +95,15 @@ class TestSolveClassical:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_solution_counts_brute_force(self, n):
         assert solve_classical(n) == brute_force_solutions(n)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, "4"])
+    def test_rejects_what_the_layout_rejects(self, n):
+        with pytest.raises(ValueError) as err:
+            solve_classical(n)
+        assert str(err.value) == f"board size must be >= 1, got {n}"
+
+    def test_a_numpy_integer_is_a_board_size(self):
+        assert solve_classical(np.int64(6)) == solve_classical(6)
 
     def test_sorted_and_deterministic(self):
         sols = solve_classical(6)

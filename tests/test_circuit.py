@@ -74,6 +74,22 @@ class TestLayout:
             RegisterLayout(n)
         assert str(err.value) == f"board size must be >= 1, got {n}"
 
+    @pytest.mark.parametrize(
+        "closed_form", [qubit_total, closed_form_census, diagonal_pairs], ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("n", [0, -2, 2.5, "4"])
+    def test_closed_forms_reject_what_the_layout_rejects(self, closed_form, n):
+        with pytest.raises(ValueError) as err:
+            closed_form(n)
+        assert str(err.value) == f"board size must be >= 1, got {n}"
+
+    def test_a_numpy_integer_is_a_board_size(self):
+        n = np.int64(4)
+        assert RegisterLayout(n) == layout(4) and type(RegisterLayout(n).n) is int
+        assert qubit_total(n) == 25
+        assert closed_form_census(n) == closed_form_census(4)
+        assert diagonal_pairs(n) == diagonal_pairs(4)
+
 
 class TestGate:
     def test_unknown_kind(self):
@@ -177,6 +193,17 @@ class TestCircuit:
         with pytest.raises(ValueError) as err:
             Circuit(layout(2), (Gate("X", (0,)), entry))
         assert str(err.value) == f"circuit entry {entry!r} is not a Gate"
+
+    def test_stores_a_tuple_that_the_caller_cannot_change(self):
+        gates = [Gate("X", (0,))]
+        c = Circuit(layout(1), gates)
+        gates.append(Gate("X", (7,)))
+        assert c.gates == (Gate("X", (0,)),)
+        assert qasm.parse_qasm_subset(qasm.export_qasm(c).text) == c
+
+    def test_is_hashable(self):
+        c = Circuit(layout(2), [Gate("X", (0,)), Gate("RY", (1,), 0.5)])
+        assert hash(c) == hash(Circuit(layout(2), (Gate("X", (0,)), Gate("RY", (1,), 0.5))))
 
 
 def block_state(n, row):

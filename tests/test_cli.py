@@ -41,6 +41,11 @@ def budget(monkeypatch):
     return set_budget
 
 
+def predicted(mode, n):
+    """The bound's prediction for `mode` on board n at the default 310 shots."""
+    return cli._predicted_sample_bytes(n, 310) if mode == "sample" else cli._predicted_bytes(n)
+
+
 def over_budget_message(n, predicted, available):
     return f"error: n={n} predicts {predicted >> 20} MiB at peak; {available >> 20} MiB available\n"
 
@@ -272,32 +277,49 @@ class TestMemoryBound:
 
     @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
     def test_over_budget_exits_3_before_building(self, mode, budget, no_build, capsys):
-        predicted = cli._predicted_bytes(4, 310 if mode == "sample" else 0)
-        budget(predicted - 1)
+        peak = predicted(mode, 4)
+        budget(peak - 1)
         code, text = invoke([mode, "4"])
         assert code == cli.EXIT_RESOURCE == 3
         assert text == ""
-        assert capsys.readouterr().err == over_budget_message(4, predicted, predicted - 1)
+        assert capsys.readouterr().err == over_budget_message(4, peak, peak - 1)
 
     @pytest.mark.parametrize("mode", ["solve", "verify", "sample"])
     def test_runs_at_the_budget(self, mode, budget, capsys):
         _, plain = invoke([mode, "4"])
-        budget(cli._predicted_bytes(4, 310 if mode == "sample" else 0))
+        budget(predicted(mode, 4))
         code, text = invoke([mode, "4"])
         assert code == cli.EXIT_OK
         assert text == plain
         assert capsys.readouterr().err == ""
 
     def test_shots_alone_push_sample_over_budget(self, budget, capsys):
-        budget(cli._predicted_bytes(4, 310))
+        budget(cli._predicted_sample_bytes(4, 310))
         assert invoke(["sample", "4", "--shots", "310"])[0] == cli.EXIT_OK
         code, text = invoke(["sample", "4", "--shots", "311"])
         assert code == cli.EXIT_RESOURCE
         assert text == ""
         assert capsys.readouterr().err.count("\n") == 1
 
-    def test_prediction_grows_16_bytes_per_shot(self):
-        assert cli._predicted_bytes(5, 1000) - cli._predicted_bytes(5, 0) == 16_000
+    def test_sample_prediction_grows_8_bytes_per_shot(self):
+        assert cli._predicted_sample_bytes(5, 1000) - cli._predicted_sample_bytes(5, 0) == 8_000
+
+    def test_sample_8_fits_7_gb_and_sample_9_does_not(self, budget, monkeypatch, capsys):
+        class Reached(Exception):
+            pass
+
+        def reached(n, shots, seed):
+            raise Reached(n)
+
+        monkeypatch.setattr(cli.analysis, "sampling_report", reached)
+        budget(7 * 10**9)
+        with pytest.raises(Reached):
+            invoke(["sample", "8", "--shots", "100000"])
+        code, text = invoke(["sample", "9"])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        peak = cli._predicted_sample_bytes(9, 310)
+        assert capsys.readouterr().err == over_budget_message(9, peak, 7 * 10**9)
 
     @pytest.mark.parametrize(
         "meminfo, expected",
@@ -354,6 +376,15 @@ class TestSample:
         distinct = int(text.split("distinct outcomes: ")[1].splitlines()[0])
         assert 150 <= distinct <= 205
 
+    def test_reads_planes_not_the_engine_state(self, monkeypatch):
+        _, plain = invoke(["sample", "5", "--shots", "2000", "--seed", "7"])
+
+        def refuse(circuit):
+            raise AssertionError("sim.run called")
+
+        monkeypatch.setattr(sim, "run", refuse)
+        assert invoke(["sample", "5", "--shots", "2000", "--seed", "7"]) == (0, plain)
+
     def test_single_outcome_n1(self):
         _, text = invoke(["sample", "1", "--shots", "10", "--seed", "0"])
         assert "distinct outcomes: 1" in text
@@ -373,14 +404,14 @@ class TestSample:
         assert "--seed must be >= 0, got -1" in captured.err
 
     def test_over_the_shots_cap_exits_3(self, no_build, capsys):
-        # 10**12 shots would hold 16 TB of draws and row positions.
+        # 10**12 shots would hold 8 TB of draws.
         start = time.perf_counter()
         code, text = invoke(["sample", "4", "--shots", str(10**12)])
         assert time.perf_counter() - start < 1.0
         assert code == cli.EXIT_RESOURCE == 3
         assert text == ""
         assert capsys.readouterr().err.startswith(
-            f"error: n=4 predicts {cli._predicted_bytes(4, 10**12) >> 20} MiB at peak; "
+            f"error: n=4 predicts {cli._predicted_sample_bytes(4, 10**12) >> 20} MiB at peak; "
         )
 
 
@@ -482,10 +513,10 @@ def test_sample_7_peak_stays_under_the_prediction():
                 env=child_env(), capture_output=True, text=True, check=True,
             ).stdout
         )
-        for argv in ([], ["sample", "7", "--shots", "1"])
+        for argv in ([], ["sample", "7", "--shots", "100000"])
     ]
     # ru_maxrss is in KiB on Linux; the first child only imports the CLI.
-    assert (kib[1] - kib[0]) * 1024 < cli._predicted_bytes(7, 1)
+    assert (kib[1] - kib[0]) * 1024 <= cli._predicted_sample_bytes(7, 100_000)
 
 
 class TestClosedStdout:
