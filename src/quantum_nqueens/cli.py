@@ -6,13 +6,16 @@ equals the closed forms', naming on stderr each per-kind count that
 differs), 2 usage error, 3 resource bound exceeded (`solve`/`verify`/`sample`
 predicting a peak above MemAvailable, a predicted gate total above
 BUILD_GATE_CAP = 10**6 for `counts`/`export-qasm`, or an `oracle` board
-above ORACLE_CAP = 12), 4 output cannot be written (`export-qasm -o`, or a
-closed stdout). All randomness flows from --seed.
+above ORACLE_CAP = 12), 4 output cannot be written (a full or closed stdout,
+a reader that has gone, or a failed `export-qasm -o`). --format defaults to
+$NQSOLVE_FORMAT, else text. All randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import os
 import sys
@@ -192,31 +195,27 @@ def cmd_export_qasm(args: argparse.Namespace, out) -> int:
         )
     doc = qasm.export_qasm(circuit.build_full_circuit(args.n))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(doc.text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(doc.text)
         print(f"wrote {args.out} ({doc.gate_line_count} gate statements)", file=out)
     else:
         out.write(doc.text)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nqsolve",
         description="Simulate and verify the quantum N-Queens solver circuit.",
     )
-    default_format = os.environ.get(FORMAT_ENV_VAR, "text")
     sub = parser.add_subparsers(dest="mode", required=True)
 
     def common(name: str, command, summary: str):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(command=command)
         p.add_argument("n", type=int, help="board size (>= 1)")
-        p.add_argument("--format", choices=FORMATS, default=default_format)
+        p.add_argument("--format", choices=FORMATS)
         return p
 
     common("solve", cmd_verify, "simulate, post-select, and print solutions")
@@ -235,7 +234,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format not in FORMATS:  # argparse checks no default against its choices
+    args.format = args.format or os.environ.get(FORMAT_ENV_VAR, "text")
+    if args.format not in FORMATS:  # argparse never sees the variable
         parser.error(f"{FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, got {args.format!r}")
     if args.n < 1:
         parser.error(f"n must be >= 1, got {args.n}")
@@ -244,16 +244,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.mode == "sample" and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
+        if out is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "stdout is closed")
         code = args.command(args, out)
         out.flush()
         return code
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except BrokenPipeError:
-        # The reader left; quiet the interpreter's final flush (see SIGPIPE in the `signal` docs).
-        if out is sys.stdout:
+    except OSError as exc:
+        if out is not None and out is sys.stdout:  # quiet the interpreter's final flush
             os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that left is no error (SIGPIPE)
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -520,13 +521,28 @@ def test_sample_7_peak_stays_under_the_prediction():
 
 
 class TestClosedStdout:
-    class ClosedPipe(io.StringIO):
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+    class Unwritable(io.StringIO):
+        def __init__(self, error):
+            super().__init__()
+            self.error = error
 
-    def test_exits_4_without_traceback(self, capsys):
-        assert cli.main(["oracle", "10"], out=self.ClosedPipe()) == cli.EXIT_IO == 4
-        assert capsys.readouterr().err == ""
+        def write(self, text):
+            raise self.error
+
+    @pytest.mark.parametrize(
+        "error, err",
+        [
+            pytest.param(BrokenPipeError(errno.EPIPE, "Broken pipe"), "", id="reader-gone"),
+            pytest.param(
+                OSError(errno.ENOSPC, "disk full"),
+                f"error: cannot write output: [Errno {errno.ENOSPC}] disk full\n",
+                id="full",
+            ),
+        ],
+    )
+    def test_exits_4_without_traceback(self, error, err, capsys):
+        assert cli.main(["oracle", "10"], out=self.Unwritable(error)) == cli.EXIT_IO == 4
+        assert capsys.readouterr().err == err
 
     def test_reader_gone_before_the_final_flush(self):
         # oracle 4 fits in the stdout buffer, so nothing is written before the
@@ -540,6 +556,32 @@ class TestClosedStdout:
         child.stdout.close()
         _, err = child.communicate(timeout=60)
         assert (child.returncode, err) == (cli.EXIT_IO, "")
+
+    # oracle 10 (36 kB) fails while the command prints, the others at the final flush.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [["oracle", "4"], ["export-qasm", "4"], ["verify", "4"], ["sample", "4"], ["oracle", "10"]],
+        ids="-".join,
+    )
+    def test_full_stdout_exits_4(self, argv):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "quantum_nqueens.cli", *argv],
+                env=child_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert result.returncode == cli.EXIT_IO
+        no_space = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert result.stderr == f"error: cannot write output: {no_space}\n"
+
+    def test_closed_stdout_exits_4(self):
+        result = subprocess.run(
+            ["sh", "-c", '"$0" -m quantum_nqueens.cli oracle 4 >&-', sys.executable],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == cli.EXIT_IO
+        closed = f"[Errno {errno.EBADF}] stdout is closed"
+        assert result.stderr == f"error: cannot write output: {closed}\n"
 
 
 class TestUsage:
@@ -566,6 +608,21 @@ class TestUsage:
         assert err.value.code == cli.EXIT_USAGE
         message = f"{cli.FORMAT_ENV_VAR} must be one of text, json, got 'xml'"
         assert message in capsys.readouterr().err
+
+    def test_format_env_var_is_read_on_every_call(self, monkeypatch):
+        cli.build_parser.cache_clear()  # so the parser is built under the first value
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
+        assert json.loads(invoke(["oracle", "4"])[1])["solutions"] == [[1, 3, 0, 2], [2, 0, 3, 1]]
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "text")
+        assert invoke(["oracle", "4"])[1].endswith("total: 2\n")
+
+    def test_one_parser_serves_every_call(self, monkeypatch):
+        cli.build_parser.cache_clear()
+        monkeypatch.setenv(cli.FORMAT_ENV_VAR, "json")
+        invoke(["oracle", "4"])
+        monkeypatch.delenv(cli.FORMAT_ENV_VAR)
+        invoke(["counts", "4"])
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_format_option_overrides_env_var(self, monkeypatch):
         monkeypatch.setenv(cli.FORMAT_ENV_VAR, "xml")
