@@ -7,8 +7,9 @@ differs), 2 usage error, 3 resource bound exceeded (`solve`/`verify`/`sample`
 predicting a peak above MemAvailable, a predicted gate total above
 BUILD_GATE_CAP = 10**6 for `counts`/`export-qasm`, or an `oracle` board
 above ORACLE_CAP = 12), 4 output cannot be written (a full or closed stdout,
-a reader that has gone, or a failed `export-qasm -o`). --format defaults to
-$NQSOLVE_FORMAT, else text. All randomness flows from --seed.
+--help output included, a reader that has gone, or a failed `export-qasm -o`).
+--format defaults to $NQSOLVE_FORMAT, else text. All randomness flows from
+--seed.
 """
 
 from __future__ import annotations
@@ -203,9 +204,25 @@ def cmd_export_qasm(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+def _stdout():
+    """sys.stdout, or OSError when fd 1 was closed before the interpreter started."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse's own writer drops a failed write, so --help would exit 0
+        # with nothing shown; this one raises, and `main` exits 4 as for any write.
+        file = file or _stdout()
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nqsolve",
         description="Simulate and verify the quantum N-Queens solver circuit.",
     )
@@ -231,21 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args.format = args.format or os.environ.get(FORMAT_ENV_VAR, "text")
-    if args.format not in FORMATS:  # argparse never sees the variable
-        parser.error(f"{FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, got {args.format!r}")
-    if args.n < 1:
-        parser.error(f"n must be >= 1, got {args.n}")
-    if args.mode == "sample" and args.shots < 1:
-        parser.error(f"--shots must be >= 1, got {args.shots}")
-    if args.mode == "sample" and args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
-        if out is None:  # fd 1 was closed when the interpreter started
-            raise OSError(errno.EBADF, "stdout is closed")
+        args = parser.parse_args(argv)  # --help writes to stdout from in here
+        args.format = args.format or os.environ.get(FORMAT_ENV_VAR, "text")
+        if args.format not in FORMATS:  # argparse never sees the variable
+            parser.error(
+                f"{FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, got {args.format!r}"
+            )
+        if args.n < 1:
+            parser.error(f"n must be >= 1, got {args.n}")
+        if args.mode == "sample" and args.shots < 1:
+            parser.error(f"--shots must be >= 1, got {args.shots}")
+        if args.mode == "sample" and args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
+        out = _stdout() if out is None else out
         code = args.command(args, out)
         out.flush()
         return code
@@ -253,8 +270,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:
-        if out is not None and out is sys.stdout:  # quiet the interpreter's final flush
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if sys.stdout is not None and (out is None or out is sys.stdout):  # quiet the final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):  # a reader that left is no error (SIGPIPE)
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

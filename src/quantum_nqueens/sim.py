@@ -9,13 +9,24 @@ Every gate lists its controls before its target and acts only on the terms
 whose controls are all set:
 
 - X/CX/CCX XOR the target bit and CZ negates the amplitude, both without
-  floating-point arithmetic, so they are bit-exact;
+  floating-point arithmetic, so they are bit-exact; each copies one array
+  and flips it in place under the control mask;
 - H/RY/CRY act by the gate's real 2x2 matrix on each pair of active terms
   whose labels differ only in the target bit. One lexsort of the active
   labels with that bit cleared puts each term next to its partner, if it has
   one, so every output label gets at most two contributions and no sum
   depends on term order. The terms whose controls are unset pass through
   unchanged, and every result below 1e-12 magnitude is pruned.
+
+A split gate passes over its N active terms to copy the keys, sort them and
+find, word by word, where each run of equal keys starts; then over its G runs
+to gather each run's first and last amplitude and combine them; then over
+its output to test magnitudes and write the labels. Its temporaries live in
+a per-thread workspace of named slots that grow to the largest gate seen and
+serve the next gate, so that a gate allocates little more than the sort's
+index and the arrays it returns, none of which views the workspace. `run`
+releases its thread's workspace when it returns; a thread that calls
+`apply_gate` directly keeps its buffers until it calls `run` or ends.
 
 Readout order is the qubit-0-first bitstring order, which is the numeric order
 of the bit-reversed label: a lexsort over the bit-reversed words, with no
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from types import MappingProxyType
 from typing import Mapping
 
@@ -128,38 +140,185 @@ def _split_matrix(gate: Gate) -> tuple[float, float, float, float]:
     return c, -s, s, c
 
 
-def _all_set(labels: np.ndarray, qubits) -> np.ndarray:
-    """Rows of `labels` in which every one of `qubits` is set."""
+class _Workspace:
+    """Scratch buffers reused from gate to gate, one workspace per thread.
+
+    `array(slot, count, dtype)` views the bytes of a named slot as an
+    uninitialised 1-D array, growing the slot when it is too small. A slot
+    holds one array at a time: asking for it again hands its bytes on. Each
+    slot's whole buffer is kept viewed as every dtype asked of it, so a
+    request is one dictionary lookup and one slice: a split gate makes about
+    twenty, which counts on the one- to five-term states of W-prep.
+
+    A slot of MAPPED_BYTES or more is an anonymous memory map, so dropping it
+    returns its pages to the system at once. Freed heap blocks would stay
+    resident under what `verify` allocates after `run`: with heap slots only,
+    verify 7 peaked at 264 MB, against 244 MB with the large ones mapped.
+    Mapping every slot instead made engine-dense a quarter slower, with a
+    map, an unmap and fresh pages for every growth of a small slot.
+    """
+
+    MAPPED_BYTES = 1 << 20
+
+    def __init__(self) -> None:
+        self.slots: dict[str, np.ndarray] = {}
+        self.views: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def array(self, slot: str, count: int, dtype: np.dtype) -> np.ndarray:
+        view = self.views.get((slot, dtype))
+        if view is None or len(view) < count:
+            view = self._view(slot, count * dtype.itemsize, dtype)
+        return view[:count]
+
+    def _view(self, slot: str, nbytes: int, dtype: np.dtype) -> np.ndarray:
+        """The slot's buffer as `dtype`, after growing it to `nbytes` if needed."""
+        buf = self.slots.get(slot)
+        if buf is None or len(buf) < nbytes:
+            if nbytes < self.MAPPED_BYTES:
+                buf = np.empty(nbytes, np.uint8)
+            else:
+                import mmap  # only large slots need it, so importing sim does not
+
+                buf = np.frombuffer(mmap.mmap(-1, nbytes), np.uint8)
+            self.slots[slot] = buf
+            for old in _DTYPES:
+                self.views.pop((slot, old), None)
+        view = self.views[slot, dtype] = buf[: len(buf) - len(buf) % dtype.itemsize].view(dtype)
+        return view
+
+    def clear(self) -> None:
+        self.slots.clear()
+        self.views.clear()
+
+
+class _ThreadWorkspace(threading.local):
+    """Each thread's workspace, a plain object so `array` calls stay cheap."""
+
+    def __init__(self) -> None:
+        self.workspace = _Workspace()
+
+
+_thread = _ThreadWorkspace()
+_DTYPES = _BOOL, _U64, _INTP, _F64, _C128 = tuple(
+    map(np.dtype, (bool, np.uint64, np.intp, np.float64, np.complex128))
+)
+
+
+def _all_set(labels: np.ndarray, qubits, ws: _Workspace) -> np.ndarray | bool:
+    """Rows of `labels` in which every one of `qubits` is set, as a mask in
+    slot "rows"; True when `qubits` is empty."""
     masks: dict[int, int] = {}
     for q in qubits:
         masks[q // WORD_BITS] = masks.get(q // WORD_BITS, 0) | 1 << q % WORD_BITS
-    rows = np.ones(len(labels), dtype=bool)
+    rows = True
     for word, mask in masks.items():
-        rows &= labels[:, word] & np.uint64(mask) == np.uint64(mask)
+        mask = np.uint64(mask)
+        words = np.bitwise_and(labels[:, word], mask, out=ws.array("a", len(labels), _U64))
+        if rows is True:
+            rows = np.equal(words, mask, out=ws.array("rows", len(labels), _BOOL))
+        else:
+            rows &= np.equal(words, mask, out=ws.array("bits", len(labels), _BOOL))
     return rows
 
 
-def _pair_partners(
-    labels: np.ndarray, amps: np.ndarray, active: np.ndarray, word: int, bit: np.uint64
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair up the active terms whose labels differ only in the target bit.
+def _pair_runs(
+    labels: np.ndarray, active: np.ndarray | bool, word: int, bit: np.uint64, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `labels` that start and end each run of partners: active terms
+    whose labels differ at most in the target bit (`word`, `bit`).
 
-    Returns each distinct active label with the target bit cleared, once, and
-    the amplitudes of its bit-clear and bit-set terms (0 where absent).
+    `active` masks the rows that take part, True for all. One lexsort of their
+    labels with the target bit cleared puts each term next to its partner, if
+    it has one. The results are in slots "first" and "last"; the sort's index
+    and the run starts are the only new arrays, and they die on return.
     """
-    keys, amps = labels.compress(active, axis=0), amps.compress(active)
-    one = keys[:, word] & bit != 0
-    keys[:, word] &= ~bit
-    order = np.lexsort(keys.T)
-    keys, amps, one = keys[order], amps[order], one[order]
+    taking = None if active is True else active.nonzero()[0]
+    count = len(labels) if taking is None else len(taking)
+    width = labels.shape[1]
+    keys = ws.array("a", width * count, _U64).reshape(width, count)
+    for w in range(width):
+        column = labels[:, w]
+        if taking is not None:
+            column = column.take(taking, out=keys[w], mode="clip")
+        if w == word:
+            np.bitwise_and(column, ~bit, out=keys[w])
+        elif taking is None:
+            np.copyto(keys[w], column)
+    order = np.lexsort(keys)  # the last word is the primary key
     # Labels are unique, so a run of equal keys is one term or a term and its
     # partner: the first and last row of a run hold both members.
-    edges = np.ones(len(amps) + 1, dtype=bool)
-    edges[1:-1] = (keys[1:] != keys[:-1]).any(axis=1)
-    first, last = edges[:-1].nonzero()[0], edges[1:].nonzero()[0]
-    partner = np.where(last != first, amps[last], 0)
-    swap, amps = one[first], amps[first]
-    return keys[first], np.where(swap, partner, amps), np.where(swap, amps, partner)
+    edges = ws.array("edges", count + 1, _BOOL)
+    edges[0] = edges[count] = True
+    inner = edges[1:count]
+    for w in range(width):
+        column = keys[w].take(order, out=ws.array("b", count, _U64), mode="clip")
+        if w == 0:
+            np.not_equal(column[1:], column[:-1], out=inner)
+        else:
+            inner |= np.not_equal(column[1:], column[:-1], out=ws.array("bits", len(inner), _BOOL))
+    if taking is not None:
+        order = taking.take(order, out=ws.array("b", count, _INTP), mode="clip")
+    starts = edges.nonzero()[0]  # where each run starts, then `count`
+    runs = len(starts) - 1
+    first = order.take(starts[:-1], out=ws.array("first", runs, _INTP), mode="clip")
+    ends = np.subtract(starts[1:], 1, out=ws.array("a", runs, _INTP))
+    return first, order.take(ends, out=ws.array("last", runs, _INTP), mode="clip")
+
+
+def _split(
+    labels: np.ndarray, amps: np.ndarray, controls, word: int, bit: np.uint64, matrix, ws
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and amplitudes once the real 2x2 `matrix` has acted on the target
+    bit (`word`, `bit`) of every term whose `controls` are all set.
+
+    The large temporaries take turns in slots "a" and "b" of `ws`, so only the
+    pass-through rows and the returned arrays are new here.
+    """
+    m00, m01, m10, m11 = matrix
+    width = labels.shape[1]
+    active = _all_set(labels, controls, ws)
+    first, last = _pair_runs(labels, active, word, bit, ws)
+    runs = len(first)
+    passed = None if active is True else np.logical_not(active, out=active).nonzero()[0]
+    npass = 0 if passed is None else len(passed)
+
+    # a0 and a1 are each run's bit-clear and bit-set amplitudes, 0 where absent:
+    # a run of one term has no partner, and the bit-set term may sort first.
+    single = np.equal(first, last, out=ws.array("single", runs, _BOOL))
+    swap = labels[:, word].take(first, out=ws.array("b", runs, _U64), mode="clip")
+    swap = np.not_equal(np.bitwise_and(swap, bit, out=swap), 0, out=ws.array("swap", runs, _BOOL))
+    a0 = amps.take(first, out=ws.array("a", runs, _C128), mode="clip")
+    a1 = amps.take(last, out=ws.array("b", runs, _C128), mode="clip")
+    np.copyto(a1, 0, where=single)
+    out = ws.array("amps", npass + 2 * runs, _C128)
+    lo, hi = out[npass : npass + runs], out[npass + runs :]
+    np.copyto(lo, a0)  # lo is free until the products below
+    np.copyto(a0, a1, where=swap)
+    np.copyto(a1, lo, where=swap)
+    np.add(np.multiply(m00, a0, out=lo), np.multiply(m01, a1, out=hi), out=lo)
+    np.add(np.multiply(m10, a0, out=hi), np.multiply(m11, a1, out=a1), out=hi)
+    if passed is not None:  # pass-through terms collide with no output, so they are only pruned
+        amps.take(passed, out=out[:npass], mode="clip")
+    out += 0.0  # turns -0.0 parts into 0.0, so readouts never print "-0.0"
+    magnitude = np.abs(out, out=ws.array("a", len(out), _F64))
+    kept = np.greater_equal(magnitude, PRUNE_THRESHOLD, out=ws.array("kept", len(out), _BOOL))
+    pruned = np.count_nonzero(kept) < len(out)
+
+    # The labels go straight into the returned array unless some are pruned.
+    size = len(out) * width
+    new = ws.array("b", size, _U64) if pruned else np.empty(size, np.uint64)
+    new = new.reshape(len(out), width)
+    if passed is not None:
+        labels.take(passed, axis=0, out=new[:npass], mode="clip")
+    lo, hi = new[npass : npass + runs], new[npass + runs :]
+    labels.take(first, axis=0, out=lo, mode="clip")
+    lo[:, word] &= ~bit
+    np.copyto(hi, lo)
+    hi[:, word] |= bit
+    if not pruned:
+        return new, out.copy()
+    kept = kept.nonzero()[0]
+    return new.take(kept, axis=0), out.take(kept)
 
 
 def apply_gate(state: SparseState, gate: Gate) -> SparseState:
@@ -168,41 +327,34 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     if any(q >= state.layout.q_total for q in gate.qubits):
         raise ValueError(f"gate {gate} out of range for {state.layout.q_total} qubits")
     *controls, target = gate.qubits
-    word, shift = target // WORD_BITS, np.uint64(target % WORD_BITS)
-    bit = np.uint64(1) << shift
+    word, bit = target // WORD_BITS, np.uint64(1 << target % WORD_BITS)
     labels, amps = state.labels, state.amps
+    ws = _thread.workspace
 
     if gate.kind in _PERMUTE:
-        flip = _all_set(labels, controls).astype(np.uint64)
+        flip = _all_set(labels, controls, ws)
         labels = labels.copy()
-        labels[:, word] ^= flip << shift
+        np.bitwise_xor(labels[:, word], bit, out=labels[:, word], where=flip)
     elif gate.kind in _PHASE:
-        amps = np.where(_all_set(labels, gate.qubits), -amps, amps)
+        flip = _all_set(labels, gate.qubits, ws)
+        amps = amps.copy()
+        np.negative(amps, out=amps, where=flip)
     elif gate.kind in _SPLIT:
-        m00, m01, m10, m11 = _split_matrix(gate)
-        active = _all_set(labels, controls)
-        passed = ~active
-        lo, a0, a1 = _pair_partners(labels, amps, active, word, bit)
-        hi = lo.copy()
-        hi[:, word] |= bit
-        # Pass-through terms collide with no output, so they are only pruned.
-        labels = np.concatenate((labels.compress(passed, axis=0), lo, hi))
-        amps = np.concatenate((amps.compress(passed), m00 * a0 + m01 * a1, m10 * a0 + m11 * a1))
-        amps += 0.0  # turns -0.0 parts into 0.0, so readouts never print "-0.0"
-        kept = np.abs(amps) >= PRUNE_THRESHOLD
-        if not kept.all():
-            kept = kept.nonzero()[0]
-            labels, amps = labels[kept], amps[kept]
+        labels, amps = _split(labels, amps, controls, word, bit, _split_matrix(gate), ws)
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     return SparseState._from_arrays(state.layout, labels, amps)
 
 
 def run(circuit: Circuit) -> SparseState:
-    """Fold apply_gate over the circuit starting from the all-zeros state."""
+    """Fold apply_gate over the circuit starting from the all-zeros state, then
+    release this thread's workspace."""
     state = init_state(circuit.layout)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
+    try:
+        for gate in circuit.gates:
+            state = apply_gate(state, gate)
+    finally:
+        _thread.workspace.clear()
     return state
 
 

@@ -557,11 +557,20 @@ class TestClosedStdout:
         _, err = child.communicate(timeout=60)
         assert (child.returncode, err) == (cli.EXIT_IO, "")
 
-    # oracle 10 (36 kB) fails while the command prints, the others at the final flush.
+    # oracle 10 (36 kB) fails while the command prints, --help while the
+    # arguments are parsed, the others at the final flush.
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize(
         "argv",
-        [["oracle", "4"], ["export-qasm", "4"], ["verify", "4"], ["sample", "4"], ["oracle", "10"]],
+        [
+            ["oracle", "4"],
+            ["export-qasm", "4"],
+            ["verify", "4"],
+            ["sample", "4"],
+            ["oracle", "10"],
+            ["--help"],
+            ["verify", "--help"],
+        ],
         ids="-".join,
     )
     def test_full_stdout_exits_4(self, argv):

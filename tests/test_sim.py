@@ -1,11 +1,15 @@
 import math
 import random
+import sys
+import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantum_nqueens import sim
 from quantum_nqueens.circuit import (
     Gate,
     build_full_circuit,
@@ -23,6 +27,9 @@ from quantum_nqueens.sim import (
     sample,
     sample_counts,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import dense_circuit  # noqa: E402
 
 
 def single_qubit_state(amps):
@@ -198,6 +205,70 @@ class TestReversibility:
             assert set(back.terms) == set(state.terms)
             for lbl, a in state.terms.items():
                 assert abs(a - back.terms[lbl]) < 1e-12
+
+
+def assert_same_bits(state, expected):
+    """Same labels in the same order, and every amplitude with the same bits."""
+    assert state.labels.tobytes() == expected.labels.tobytes()
+    assert state.amps.tobytes() == expected.amps.tobytes()
+
+
+class TestWorkspace:
+    """Split gates keep their temporaries in a per-thread workspace that the
+    next gate reuses; no state may see those buffers."""
+
+    def test_earlier_states_survive_later_gates(self):
+        circ = dense_circuit(1)
+        state = init_state(circ.layout)
+        kept = []
+        for gate in circ.gates[:20]:  # the RY layer to full support, then four more
+            state = apply_gate(state, gate)
+            kept.append((state, state.labels.tobytes(), state.amps.tobytes()))
+        for gate in circ.gates[20:]:
+            state = apply_gate(state, gate)
+        for state, labels, amps in kept:
+            assert (state.labels.tobytes(), state.amps.tobytes()) == (labels, amps)
+
+    def test_threads_match_sequential_runs(self):
+        circuits = [dense_circuit(seed) for seed in range(1, 5)]  # one thread each
+        expected = [run(circ) for circ in circuits]
+        results = [[] for _ in circuits]
+
+        def work(i):
+            for _ in range(3):
+                results[i].append(run(circuits[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(circuits))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for states, want in zip(results, expected):
+            assert len(states) == 3
+            for state in states:
+                assert_same_bits(state, want)
+
+    def test_run_releases_its_workspace(self):
+        apply_gate(init_state(layout(4)), Gate("H", (0,)))
+        assert sim._thread.workspace.slots
+        run(dense_circuit(1))
+        assert sim._thread.workspace.slots == {}
+
+    @pytest.mark.parametrize("n, qubits", [(2, (0, 3, 4)), (7, (63, 64, 75))], ids=["W1", "W2"])
+    @pytest.mark.parametrize("kind", ["X", "H", "RY", "CX", "CRY", "CZ", "CCX"])
+    def test_empty_state_stays_empty(self, n, qubits, kind):
+        arity = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}[kind]
+        empty = SparseState(layout(n))
+        after = apply_gate(empty, Gate(kind, qubits[-arity:], 0.7 if "RY" in kind else None))
+        assert len(after) == 0
+        assert after.labels.shape == (0, empty.labels.shape[1])
+        assert after.terms == {}
 
 
 class TestPermutationExactness:
