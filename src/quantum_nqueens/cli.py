@@ -211,6 +211,22 @@ def _stdout():
     return sys.stdout
 
 
+def _quiet_failed_stdout() -> None:
+    """Point fd 1 at the null device if sys.stdout still fails to flush, so
+    the interpreter's final flush does not fail again; a stdout that flushes
+    is left as it is."""
+    if sys.stdout is None:
+        return
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None) -> None:
         # argparse's own writer drops a failed write, so --help would exit 0
@@ -270,8 +286,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:
-        if sys.stdout is not None and (out is None or out is sys.stdout):  # quiet the final flush
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _quiet_failed_stdout()
         if not isinstance(exc, BrokenPipeError):  # a reader that left is no error (SIGPIPE)
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

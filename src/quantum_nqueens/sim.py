@@ -22,8 +22,9 @@ A split gate passes over its N active terms to copy the keys, sort them and
 find, word by word, where each run of equal keys starts; then over its G runs
 to gather each run's first and last amplitude and combine them; then over
 its output to test magnitudes and write the labels. Its temporaries live in
-a per-thread workspace of named slots that grow to the largest gate seen and
-serve the next gate, so that a gate allocates little more than the sort's
+a per-thread workspace of named byte slots, each viewed as whatever dtype and
+length a request asks for; a slot grows to the largest request seen and
+serves the next gate, so that a gate allocates little more than the sort's
 index and the arrays it returns, none of which views the workspace. `run`
 releases its thread's workspace when it returns; a thread that calls
 `apply_gate` directly keeps its buffers until it calls `run` or ends.
@@ -140,15 +141,14 @@ def _split_matrix(gate: Gate) -> tuple[float, float, float, float]:
     return c, -s, s, c
 
 
-class _Workspace:
-    """Scratch buffers reused from gate to gate, one workspace per thread.
+class _Workspace(threading.local):
+    """Scratch buffers reused from gate to gate, one set per thread.
 
-    `array(slot, count, dtype)` views the bytes of a named slot as an
-    uninitialised 1-D array, growing the slot when it is too small. A slot
-    holds one array at a time: asking for it again hands its bytes on. Each
-    slot's whole buffer is kept viewed as every dtype asked of it, so a
-    request is one dictionary lookup and one slice: a split gate makes about
-    twenty, which counts on the one- to five-term states of W-prep.
+    Each named slot is a buffer of bytes. `array(slot, count, dtype)` grows
+    the slot's buffer when it is shorter than `count` items of `dtype`, then
+    returns its leading bytes viewed as an uninitialised 1-D array of that
+    dtype. A slot holds one array at a time: asking for it again hands its
+    bytes on.
 
     A slot of MAPPED_BYTES or more is an anonymous memory map, so dropping it
     returns its pages to the system at once. Freed heap blocks would stay
@@ -162,16 +162,9 @@ class _Workspace:
 
     def __init__(self) -> None:
         self.slots: dict[str, np.ndarray] = {}
-        self.views: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def array(self, slot: str, count: int, dtype: np.dtype) -> np.ndarray:
-        view = self.views.get((slot, dtype))
-        if view is None or len(view) < count:
-            view = self._view(slot, count * dtype.itemsize, dtype)
-        return view[:count]
-
-    def _view(self, slot: str, nbytes: int, dtype: np.dtype) -> np.ndarray:
-        """The slot's buffer as `dtype`, after growing it to `nbytes` if needed."""
+        nbytes = count * dtype.itemsize
         buf = self.slots.get(slot)
         if buf is None or len(buf) < nbytes:
             if nbytes < self.MAPPED_BYTES:
@@ -181,26 +174,15 @@ class _Workspace:
 
                 buf = np.frombuffer(mmap.mmap(-1, nbytes), np.uint8)
             self.slots[slot] = buf
-            for old in _DTYPES:
-                self.views.pop((slot, old), None)
-        view = self.views[slot, dtype] = buf[: len(buf) - len(buf) % dtype.itemsize].view(dtype)
-        return view
+        return np.ndarray(count, dtype, buf)
 
     def clear(self) -> None:
         self.slots.clear()
-        self.views.clear()
 
 
-class _ThreadWorkspace(threading.local):
-    """Each thread's workspace, a plain object so `array` calls stay cheap."""
-
-    def __init__(self) -> None:
-        self.workspace = _Workspace()
-
-
-_thread = _ThreadWorkspace()
-_DTYPES = _BOOL, _U64, _INTP, _F64, _C128 = tuple(
-    map(np.dtype, (bool, np.uint64, np.intp, np.float64, np.complex128))
+_thread = _Workspace()
+_BOOL, _U64, _INTP, _F64, _C128 = map(
+    np.dtype, (bool, np.uint64, np.intp, np.float64, np.complex128)
 )
 
 
@@ -329,7 +311,7 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     *controls, target = gate.qubits
     word, bit = target // WORD_BITS, np.uint64(1 << target % WORD_BITS)
     labels, amps = state.labels, state.amps
-    ws = _thread.workspace
+    ws = _thread
 
     if gate.kind in _PERMUTE:
         flip = _all_set(labels, controls, ws)
@@ -354,7 +336,7 @@ def run(circuit: Circuit) -> SparseState:
         for gate in circuit.gates:
             state = apply_gate(state, gate)
     finally:
-        _thread.workspace.clear()
+        _thread.clear()
     return state
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import json
@@ -461,6 +462,25 @@ class TestExportQasm:
         assert code == cli.EXIT_IO == 4
         assert text == ""
         assert "cannot write" in capsys.readouterr().err
+
+    def test_unwritable_path_leaves_a_redirected_stdout_alone(self, tmp_path, capsys):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(["export-qasm", "2", "-o", str(tmp_path / "missing" / "x.qasm")])
+            print("after")
+        assert code == cli.EXIT_IO
+        assert printed.getvalue() == "after\n"
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_unwritable_path_leaves_stdout_open_for_the_caller(self, tmp_path):
+        probe = "import sys, quantum_nqueens.cli as cli\nprint('after', cli.main(sys.argv[1:]))\n"
+        path = tmp_path / "missing" / "x.qasm"
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "export-qasm", "2", "-o", str(path)],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stdout) == (0, f"after {cli.EXIT_IO}\n")
+        assert "cannot write" in result.stderr
 
     def test_over_the_gate_cap_exits_3(self, no_build, capsys):
         code, text = invoke(["export-qasm", "1000"])

@@ -1,4 +1,5 @@
 import math
+import mmap
 import random
 import sys
 import threading
@@ -256,9 +257,31 @@ class TestWorkspace:
 
     def test_run_releases_its_workspace(self):
         apply_gate(init_state(layout(4)), Gate("H", (0,)))
-        assert sim._thread.workspace.slots
+        assert sim._thread.slots
         run(dense_circuit(1))
-        assert sim._thread.workspace.slots == {}
+        assert sim._thread.slots == {}
+
+    def test_slot_is_viewed_as_each_requested_dtype(self):
+        ws = sim._Workspace()
+        words = ws.array("s", 3, np.dtype(np.uint64))
+        assert (words.dtype, len(words), ws.slots["s"].nbytes) == (np.uint64, 3, 24)
+        amps = ws.array("s", 5, np.dtype(np.complex128))  # longer: the slot grows
+        assert (amps.dtype, len(amps), ws.slots["s"].nbytes) == (np.complex128, 5, 80)
+        assert np.shares_memory(amps, ws.slots["s"])
+        again = ws.array("s", 2, np.dtype(np.uint64))  # shorter: the same bytes
+        assert (again.dtype, len(again)) == (np.uint64, 2)
+        assert np.shares_memory(again, amps)
+
+    def test_large_slots_are_memory_maps(self):
+        ws = sim._Workspace()
+        count = sim._Workspace.MAPPED_BYTES // 8
+        ws.array("large", count, np.dtype(np.float64))
+        ws.array("small", count - 1, np.dtype(np.float64))
+        backing = {}
+        for slot, buf in ws.slots.items():
+            base = buf.base  # numpy wraps the buffer in a memoryview on some versions
+            backing[slot] = type(base.obj if isinstance(base, memoryview) else base)
+        assert backing == {"large": mmap.mmap, "small": type(None)}
 
     @pytest.mark.parametrize("n, qubits", [(2, (0, 3, 4)), (7, (63, 64, 75))], ids=["W1", "W2"])
     @pytest.mark.parametrize("kind", ["X", "H", "RY", "CX", "CRY", "CZ", "CCX"])
