@@ -76,15 +76,17 @@ def diagonal_pairs(n: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     O(pairs) = n(n-1)(2n-1)/3 rather than a test of every cell pair.
     """
     n = board_size(n)
+    cells = [[(r, c) for c in range(n)] for r in range(n)]  # one shared tuple per cell
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
             d = j - i
+            row_i, row_j = cells[i], cells[j]
             for x in range(n):
                 if x >= d:
-                    pairs.append(((i, x), (j, x - d)))
+                    pairs.append((row_i[x], row_j[x - d]))
                 if x + d < n:
-                    pairs.append(((i, x), (j, x + d)))
+                    pairs.append((row_i[x], row_j[x + d]))
     return pairs
 
 

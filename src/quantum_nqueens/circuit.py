@@ -23,8 +23,10 @@ from typing import Iterable, NamedTuple
 
 from .board import board_size, diagonal_pairs
 
-_ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
+_ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}  # _checked_gates needs <= 3
 _PARAMETRIC = {"RY", "CRY"}
+# The exact type of a checked gate's angle, by kind.
+_ANGLE_TYPE = {kind: float if kind in _PARAMETRIC else type(None) for kind in _ARITY}
 
 
 class _GateFields(NamedTuple):  # a NamedTuple may not define __new__, so Gate subclasses it
@@ -53,10 +55,14 @@ class Gate(_GateFields):
         if arity > 1 and len(set(qubits)) != arity:
             raise ValueError("gate operands must be distinct")
         if kind in _PARAMETRIC:
-            # float first: it decides the usual case without the slow ABC check
-            if not (isinstance(theta, (float, numbers.Real)) and math.isfinite(theta)):
+            # float first: it decides the usual case without the slow ABC check;
+            # a Python float, as a numpy scalar would export as its repr, np.float64(...)
+            try:
+                theta = float(theta) if isinstance(theta, (float, numbers.Real)) else math.nan
+            except OverflowError:  # a real past the float range, such as 10**400
+                theta = math.inf
+            if not math.isfinite(theta):
                 raise ValueError(f"{kind} requires a finite angle")
-            theta = float(theta)  # a numpy scalar would export as its repr, np.float64(...)
         elif theta is not None:
             raise ValueError(f"{kind} takes no angle")
         return tuple.__new__(cls, (kind, qubits, theta))
@@ -70,6 +76,52 @@ class Gate(_GateFields):
         if self.kind in _PARAMETRIC:
             return Gate(self.kind, self.qubits, -self.theta)
         return self  # X, H, CX, CZ, CCX are self-inverse
+
+
+def _checked_gates(fields: list[tuple]) -> list[Gate]:
+    """`[Gate(*f) for f in fields]` for a list of (kind, qubits, theta) tuples,
+    with each of Gate's checks made as one C-level pass over the whole list.
+
+    When every entry already has the form Gate gives it (an exact tuple of
+    exact ints, an exact float angle) and passes every check, each entry
+    becomes a Gate that shares its operand tuple. Otherwise the list is built
+    again gate by gate, so an entry that needs converting (a list, a numpy
+    int, a bool) is converted as Gate converts it, and the first bad entry
+    raises Gate's own ValueError.
+    """
+    def kinds():
+        return map(operator.itemgetter(0), fields)
+
+    def qubits():
+        return map(operator.itemgetter(1), fields)
+
+    def thetas():
+        return map(operator.itemgetter(2), fields)
+
+    def operands():
+        return itertools.chain.from_iterable(qubits())
+
+    try:
+        passed = (
+            set(map(type, fields)) <= {tuple}
+            and set(map(len, fields)) <= {3}
+            and set(map(type, qubits())) <= {tuple}
+            and set(map(type, operands())) <= {int}
+            # a kind's arity is never None, so this also rejects an unknown kind
+            and all(map(operator.eq, map(len, qubits()), map(_ARITY.get, kinds())))
+            and min(operands(), default=0) >= 0
+            # with at most three operands, they are distinct iff the first and the last
+            # each occur once: a count, cheaper than a set per gate
+            and set(map(tuple.count, qubits(), map(operator.itemgetter(0), qubits()))) <= {1}
+            and set(map(tuple.count, qubits(), map(operator.itemgetter(-1), qubits()))) <= {1}
+            and all(map(operator.is_, map(type, thetas()), map(_ANGLE_TYPE.get, kinds())))
+            and all(map(math.isfinite, filter(None, thetas())))  # no None, and 0.0 is finite
+        )
+    except TypeError:  # an unhashable kind
+        passed = False
+    if not passed:
+        return [Gate(*f) for f in fields]
+    return list(map(tuple.__new__, itertools.repeat(Gate), fields))
 
 
 @dataclass(frozen=True)
@@ -164,12 +216,12 @@ def build_w_prep(n: int, row: int) -> list[Gate]:
     if not 0 <= row < n:
         raise ValueError(f"row {row} out of range for n={n}")
     base = row * n
-    gates = [Gate("X", (base,))]
+    fields = [("X", (base,), None)]
     for i in range(1, n):
         theta = 2.0 * math.acos(math.sqrt(1.0 / (n - i + 1)))
-        gates.append(Gate("CRY", (base + i - 1, base + i), theta))
-        gates.append(Gate("CX", (base + i, base + i - 1)))
-    return gates
+        fields.append(("CRY", (base + i - 1, base + i), theta))
+        fields.append(("CX", (base + i, base + i - 1), None))
+    return _checked_gates(fields)
 
 
 def build_column_checks(n: int) -> list[Gate]:
@@ -180,14 +232,13 @@ def build_column_checks(n: int) -> list[Gate]:
     column sum is odd. The last column needs no check.
     """
     lay = layout(n)
-    gates: list[Gate] = []
+    fields = []
     for c in range(n - 1):
         anc = lay.col_anc_qubit(c)
-        gates.append(Gate("H", (anc,)))
-        for r in range(n):
-            gates.append(Gate("CZ", (anc, lay.system_qubit(r, c))))
-        gates.append(Gate("H", (anc,)))
-    return gates
+        fields.append(("H", (anc,), None))
+        fields += [("CZ", (anc, lay.system_qubit(r, c)), None) for r in range(n)]
+        fields.append(("H", (anc,), None))
+    return _checked_gates(fields)
 
 
 def ancilla_index(i: int, j: int, n: int) -> int:
@@ -208,7 +259,7 @@ def build_diagonal_checks(n: int) -> list[Gate]:
     ends |0> iff its row pair's queens share a diagonal.
     """
     lay = layout(n)
-    gates = [Gate("X", (lay.diag_anc_qubit(k),)) for k in range(1, lay.n_diag_anc + 1)]
+    fields = [("X", (lay.diag_anc_qubit(k),), None) for k in range(1, lay.n_diag_anc + 1)]
     # Look each qubit up once, not once per Toffoli.
     system = [[lay.system_qubit(r, c) for c in range(n)] for r in range(n)]
     anc = {
@@ -216,9 +267,11 @@ def build_diagonal_checks(n: int) -> list[Gate]:
         for i in range(n)
         for j in range(i + 1, n)
     }
-    pairs = diagonal_pairs(n)
-    gates += [Gate("CCX", (system[i][x], system[j][y], anc[i, j])) for (i, x), (j, y) in pairs]
-    return gates
+    # All operand tuples first, then the entries: the entries die once the gates
+    # are made, and so leave whole memory pools free, not a hole beside each operand.
+    operands = [(system[i][x], system[j][y], anc[i, j]) for (i, x), (j, y) in diagonal_pairs(n)]
+    fields += zip(itertools.repeat("CCX"), operands, itertools.repeat(None))
+    return _checked_gates(fields)
 
 
 @gc_paused()

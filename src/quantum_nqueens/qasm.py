@@ -12,8 +12,9 @@ import contextlib
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
-from .circuit import Circuit, Gate, RegisterLayout, gc_paused, layout
+from .circuit import Circuit, Gate, RegisterLayout, _checked_gates, gc_paused, layout
 
 
 class QasmParseError(ValueError):
@@ -112,6 +113,27 @@ def _angle(text: str) -> float:
     raise ValueError(f"bad angle {text!r}")
 
 
+_CHUNK = 1 << 16  # characters of text split into lines at a time
+_BATCH = 4096  # gate lines checked at a time
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """What enumerate(text.splitlines(), 1) yields, splitting a chunk of at
+    least _CHUNK characters at a time rather than the whole text.
+
+    Each chunk ends just after a "\n", and there every line break that
+    splitlines() knows ends too, "\r\n" included, so no break spans two
+    chunks and the lines and their numbers are the same.
+    """
+    start, lineno = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        yield from enumerate(lines, lineno)
+        lineno += len(lines)
+        start = end
+
+
 @gc_paused()
 def parse_qasm_subset(text: str) -> Circuit:
     """Parse text produced by export_qasm back into a Circuit.
@@ -120,11 +142,30 @@ def parse_qasm_subset(text: str) -> Circuit:
     outside the emitted subset raises QasmParseError with the line number.
     A measure must write a bit of the one declared creg. Parsed with the
     cyclic collector paused.
+
+    Gate lines are checked in batches of _BATCH by the builders' list-wide
+    Gate constructor; a pending batch is checked before any other error is
+    raised, so the first bad line is the one reported.
     """
     lay: RegisterLayout | None = None
     creg: tuple[str, int] | None = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    fields: list[tuple] = []  # the (kind, qubits, theta) of each pending gate line
+    linenos: list[int] = []
+
+    def flush() -> None:
+        try:
+            gates.extend(_checked_gates(fields))
+        except ValueError:  # find the first bad line: Gate raises the same error for it
+            for lineno, f in zip(linenos, fields):
+                try:
+                    Gate(*f)
+                except ValueError as exc:
+                    raise QasmParseError(lineno, str(exc)) from None
+        fields.clear()
+        linenos.clear()
+
+    for lineno, raw in _numbered_lines(text):
         line = (raw.split("//")[0] if "//" in raw else raw).strip()
         if not line:
             continue
@@ -174,9 +215,14 @@ def parse_qasm_subset(text: str) -> Circuit:
                 if _int(m["bit"], message) >= width:
                     raise ValueError(message)
                 continue
-            gates.append(Gate(kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
+            fields.append((kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
+            linenos.append(lineno)
         except ValueError as exc:  # every rule above raises a plain ValueError
+            flush()  # an earlier bad gate line comes first
             raise QasmParseError(lineno, str(exc)) from None
+        if len(fields) == _BATCH:
+            flush()
+    flush()
     if lay is None:
         raise QasmParseError(1, "missing qreg declaration")
     return Circuit(layout=lay, gates=tuple(gates))

@@ -156,6 +156,11 @@ class TestDiagonalPairs:
                             expected.append(((i, x), (j, y)))
         assert diagonal_pairs(n) == expected
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_each_cell_is_one_shared_tuple(self, n):
+        cells = [cell for pair in diagonal_pairs(n) for cell in pair]
+        assert len({id(cell) for cell in cells}) == len(set(cells))
+
     def test_all_pairs_are_diagonal(self):
         for (i, x), (j, y) in diagonal_pairs(6):
             assert is_diagonal(i, x, j, y)

@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import math
@@ -6,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quantum_nqueens import circuit, qasm, sim
 from quantum_nqueens.board import diagonal_pairs
@@ -128,6 +130,9 @@ class TestGate:
             ("X", (0.5, 1), None, "gate operands must be integers"),
             ("RY", (0,), "1.0", "RY requires a finite angle"),
             ("CRY", (0, 1), 1j, "CRY requires a finite angle"),
+            ("RY", (0,), 10**400, "RY requires a finite angle"),
+            ("CRY", (0, 1), -(10**400), "CRY requires a finite angle"),
+            ("RY", (0,), np.float32(math.inf), "RY requires a finite angle"),
         ],
     )
     def test_every_check_raises(self, kind, qubits, theta, message):
@@ -177,6 +182,115 @@ class TestGate:
         assert type(gate.inverse().theta) is float
         exported = qasm.export_qasm(Circuit(layout(1), (gate,))).text
         assert qasm.parse_qasm_subset(exported).gates == (gate,)
+
+
+def _outcome(build, fields):
+    """What building `fields` gives: the gates, or the error's type and message."""
+    try:
+        return build(fields)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
+_Pair = collections.namedtuple("_Pair", "control target")
+
+
+@st.composite
+def _gate_fields(draw):
+    """A (kind, qubits, theta) entry, mostly one that Gate accepts as it stands;
+    otherwise one with an operand, operand container, arity or angle that
+    Gate converts or rejects."""
+    kind = draw(st.sampled_from(list(_ARITY)))
+    qubits = draw(
+        st.lists(st.integers(0, 30), min_size=_ARITY[kind], max_size=_ARITY[kind], unique=True)
+    )
+    theta = draw(st.floats(-10, 10)) if kind in ("RY", "CRY") else None
+    fault = draw(st.sampled_from([None] * 8 + [
+        "bool", "np-int", "list", "negative", "repeated", "arity", "kind", "np-float",
+        "int-angle", "nan", "inf", "huge", "no-angle", "angle-on-plain", "float-operand",
+    ]))
+    if fault == "bool":
+        qubits[0] = draw(st.booleans())
+    elif fault == "np-int":
+        qubits[-1] = draw(st.sampled_from([np.int64, np.int32, np.uint8]))(qubits[-1])
+    elif fault == "negative":
+        qubits[-1] = -1 - qubits[-1]
+    elif fault == "repeated":  # any operand repeated at any other place
+        kind = draw(st.sampled_from(["CX", "CRY", "CZ", "CCX"]))
+        theta = 0.5 if kind == "CRY" else None
+        qubits = draw(st.lists(st.integers(0, 30), min_size=_ARITY[kind], max_size=_ARITY[kind]))
+        i, j = draw(st.permutations(range(_ARITY[kind])))[:2]
+        qubits[j] = qubits[i]
+    elif fault == "arity":
+        qubits.append(31)
+    elif fault == "kind":
+        kind = draw(st.sampled_from(["SWAP", "x", "cx", ""]))
+    elif fault == "float-operand":
+        qubits[0] = float(qubits[0])
+    elif kind in ("RY", "CRY"):
+        theta = {
+            "np-float": np.float64(theta), "int-angle": 2, "nan": math.nan, "inf": -math.inf,
+            "huge": 10**400, "no-angle": None,
+        }.get(fault, theta)
+    elif fault == "angle-on-plain":
+        theta = draw(st.sampled_from([0.5, 0.0, math.nan]))
+    return kind, (qubits if fault == "list" else tuple(qubits)), theta
+
+
+class TestCheckedGates:
+    """`circuit._checked_gates(fields)` is `[Gate(*f) for f in fields]`: the same
+    gates, or the same error for the same first bad entry."""
+
+    @given(st.lists(_gate_fields(), max_size=12))
+    @example([("RY", (0,), 10**400)])
+    @example([("X", (0,), None), ("CX", [True, np.int64(3)], None), ("RY", (1,), np.float64(1))])
+    @example([("X", (0,), None), ("H", (1,), 0.5), ("SWAP", (0, 1), None)])
+    @example([(["X"], (0,), None)])  # an unhashable kind: Gate's TypeError
+    @example([("X", (0,), None), ("CX", (True, 3), None)])
+    @example([("X", (np.int64(2),), None)])
+    @example([("CX", _Pair(0, 1), None)])  # a tuple subclass becomes a plain tuple
+    @example([("X", (0,), None), ("X", (1,))])  # theta left to its default
+    @example([("X", (0,), None, None)])  # one field too many: Gate's TypeError
+    @example([("CCX", (0, 1, 2), None), ("CCX", (3, 4, 4), None)])
+    @example([("CCX", (0, 1, 2), None), ("CCX", (3, 4, 3), None)])
+    @example([("CCX", (0, 1, 2), None), ("CCX", (3, 3, 4), None)])
+    def test_matches_gate_by_gate(self, fields):
+        got = _outcome(circuit._checked_gates, fields)
+        expected = _outcome(lambda fs: [Gate(*f) for f in fs], fields)
+        assert got == expected
+        if isinstance(got, list):
+            for gate in got:
+                assert type(gate) is Gate
+                assert type(gate.qubits) is tuple
+                assert all(type(q) is int for q in gate.qubits)
+                assert type(gate.theta) is (float if gate.kind in ("RY", "CRY") else type(None))
+
+    def test_no_kind_has_more_than_three_operands(self):
+        # the distinctness pass counts only a gate's first and last operand
+        assert max(circuit._ARITY.values()) <= 3
+
+    def test_checked_entries_share_their_operand_tuples(self):
+        fields = [("CCX", (0, 1, 2), None), ("RY", (3,), 0.5), ("X", (4,), None)]
+        gates = circuit._checked_gates(fields)
+        assert gates == [Gate(*f) for f in fields]
+        assert all(g.qubits is f[1] for g, f in zip(gates, fields))
+
+    @pytest.mark.parametrize("theta", [10**400, -(10**400), math.inf, math.nan])
+    def test_angle_past_the_float_range_is_a_value_error(self, theta):
+        fields = [("X", (0,), None), ("CRY", (0, 1), theta)]
+        with pytest.raises(ValueError) as err:
+            circuit._checked_gates(fields)
+        assert str(err.value) == "CRY requires a finite angle"
+
+    @pytest.mark.parametrize(
+        "builder",
+        [lambda: build_w_prep(5, 2), lambda: build_column_checks(5), lambda: build_diagonal_checks(5)],
+    )
+    def test_builders_make_checked_gates(self, builder):
+        gates = builder()
+        assert gates == [Gate(*g) for g in gates]
+        assert all(type(g) is Gate and type(g.qubits) is tuple for g in gates)
 
 
 class TestCircuit:
@@ -404,13 +518,16 @@ class TestCollectorPause:
         assert gc.isenabled() == collector
 
     def test_parse_restores_the_collector(self, collector, monkeypatch):
-        seen = []
-        monkeypatch.setattr(
-            qasm, "Gate", lambda *args: seen.append(gc.isenabled()) or Gate(*args)
-        )
+        seen = []  # (collector on, batch size) at each list-wide check of a gate batch
+
+        def checked_gates(fields):
+            seen.append((gc.isenabled(), len(fields)))
+            return circuit._checked_gates(fields)
+
+        monkeypatch.setattr(qasm, "_checked_gates", checked_gates)
         text = qasm.export_qasm(build_full_circuit(3)).text
-        assert len(qasm.parse_qasm_subset(text).gates) == len(seen) > 0
-        assert not any(seen)
+        assert len(qasm.parse_qasm_subset(text).gates) == sum(size for _, size in seen) > 0
+        assert not any(enabled for enabled, _ in seen)
         assert gc.isenabled() == collector
 
     def test_parse_restores_the_collector_when_it_raises(self, collector):

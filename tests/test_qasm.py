@@ -2,8 +2,10 @@ import hashlib
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quantum_nqueens import qasm, sim
 from quantum_nqueens.circuit import Gate, build_full_circuit, gate_census, layout
@@ -361,6 +363,104 @@ class TestParse:
         # CRY stays decomposed: 2 rows x (1 CRY -> 4 gates, keeping X and CX)
         kinds = [g.kind for g in parsed.gates]
         assert "CRY" not in kinds
+
+
+# Every line break str.splitlines() knows, "\r\n" included.
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestChunkedLines:
+    """The parser splits its text a chunk at a time; the numbered lines are
+    those of the whole text's splitlines()."""
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(_BREAKS), st.text("ab ;", max_size=4)), max_size=30),
+        st.integers(1, 9),
+    )
+    @example(["a", "\r", "\n", "b"], 1)  # "\r\n" split across two pieces is still one break
+    @example(["\r\n"], 1)
+    @example(["", "\n", "\n"], 2)
+    def test_same_lines_and_numbers_as_splitlines(self, pieces, chunk):
+        text = "".join(pieces)
+        with mock.patch.object(qasm, "_CHUNK", chunk):
+            assert list(qasm._numbered_lines(text)) == list(enumerate(text.splitlines(), 1))
+
+    def test_default_chunk_on_an_export(self):
+        text = export_qasm(build_full_circuit(19)).text
+        assert len(text) > 2 * qasm._CHUNK
+        assert list(qasm._numbered_lines(text)) == list(enumerate(text.splitlines(), 1))
+
+    @pytest.mark.parametrize("chunk, batch", [(1, 1), (7, 3), (64, 4096)])
+    def test_parse_is_the_same_for_any_chunk_and_batch(self, chunk, batch):
+        text = export_qasm(build_full_circuit(4)).text
+        expected = parse_qasm_subset(text)
+        with mock.patch.object(qasm, "_CHUNK", chunk), mock.patch.object(qasm, "_BATCH", batch):
+            assert parse_qasm_subset(text.replace("\n", "\r\n")) == expected
+
+
+class TestBatchedErrors:
+    """Gate lines are checked a batch at a time, yet the first bad line of the
+    text is the one reported, with its own number and message."""
+
+    HEADER = ["OPENQASM 2.0;", "qreg q[6];", "creg c[6];", "x q[0];"]
+    BAD_GATE = ("cx q[1],q[1];", "gate operands must be distinct")
+    OTHER_ERRORS = [
+        ("bogus;", "unrecognized statement: 'bogus;'"),
+        ("swap q[0],q[1];", "unknown gate 'swap'"),
+        ("qreg q[6];", "second qreg declaration"),
+        ("measure q[0] -> zz[0];", "measure into undeclared creg 'zz'"),
+        ("x q[6];", "qubit index out of range for qreg q[6]"),
+        ("ry(1_0) q[0];", "bad angle '1_0'"),
+    ]
+
+    @staticmethod
+    def parse_error(lines):
+        with pytest.raises(QasmParseError) as err:
+            parse_qasm_subset("\n".join(lines) + "\n")
+        return err.value.lineno, str(err.value)
+
+    @pytest.mark.parametrize("other, other_message", OTHER_ERRORS)
+    def test_bad_gate_line_before_another_error_is_reported(self, other, other_message):
+        bad, message = self.BAD_GATE
+        lines = self.HEADER + [bad, "h q[2];", other]
+        assert self.parse_error(lines) == (5, f"line 5: {message}")
+
+    @pytest.mark.parametrize("other, other_message", OTHER_ERRORS)
+    def test_another_error_before_a_bad_gate_line_is_reported(self, other, other_message):
+        bad, _ = self.BAD_GATE
+        lines = self.HEADER + [other, "h q[2];", bad]
+        assert self.parse_error(lines) == (5, f"line 5: {other_message}")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            BAD_GATE,
+            ("ry(inf) q[0];", "RY requires a finite angle"),
+            ("h(0.5) q[1];", "H takes no angle"),
+            ("ry q[1];", "RY requires a finite angle"),
+        ],
+    )
+    @pytest.mark.parametrize("index", [0, 1, 4094, 4095, 4096, 4097, 8191, 8192, 9999])
+    def test_bad_gate_in_any_batch_reports_its_own_line(self, bad, message, index):
+        gates = ["h q[2];", "cz q[3],q[4];"] * 5000  # after the header's x, gates[4094] ends batch 1
+        gates[index] = bad
+        lines = self.HEADER + ["// a comment", ""] + gates + ["measure q[0] -> c[0];"]
+        lineno = len(self.HEADER) + 2 + index + 1
+        assert self.parse_error(lines) == (lineno, f"line {lineno}: {message}")
+
+    def test_bad_gate_in_the_last_batch_is_reported_at_the_end(self):
+        bad, message = self.BAD_GATE
+        lines = self.HEADER + ["h q[2];"] * 4100 + [bad] + ["measure q[0] -> c[0];"] * 3
+        assert self.parse_error(lines) == (4105, f"line 4105: {message}")
+
+    def test_bad_gate_line_in_an_export_beyond_the_first_batch(self):
+        lines = export_qasm(build_full_circuit(19)).text.splitlines()
+        ccx = [i for i, line in enumerate(lines) if line.startswith("ccx ")]
+        assert len(ccx) > 4096
+        bad = ccx[4096 + 17]
+        lines[bad] = "ccx q[0],q[4],q[0];"
+        message = f"line {bad + 1}: gate operands must be distinct"
+        assert self.parse_error(lines) == (bad + 1, message)
 
 
 class TestRoundTrip:
