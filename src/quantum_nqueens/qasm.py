@@ -4,12 +4,21 @@ Exports use a single flat register `q` of Q_total qubits with a comment block
 documenting the layout ranges. CRY is not in the baseline qelib1 gate set, so
 it is emitted as ry(theta/2) t; cx c,t; ry(-theta/2) t; cx c,t, which is
 unitarily equal to the controlled rotation.
+
+The parser takes each line by one of two routes. Gate lines written exactly
+as export_qasm writes them are matched a chunk of text at a time and, after
+the qreg, converted a run at a time. Every other line takes the per-line
+rules, the one owner of the full grammar and of every error message; a run
+with an operand past the qreg is handed to them too. Either way every gate
+passes Gate's checks, and the first bad line is the one reported.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -80,6 +89,14 @@ _QREG_RE = re.compile(r"(?a)^qreg\s+q\[(\d+)\]\s*;$")
 _CREG_RE = re.compile(r"(?a)^creg\s+(?P<name>\w+)\[(?P<width>\d+)\]\s*;$")
 _MEASURE_RE = re.compile(r"(?a)^measure\s+(?P<operands>q\[\d+\])\s*->\s*(?P<reg>\w+)\[(?P<bit>\d+)\]\s*;$")
 
+# A gate line exactly as export_qasm writes it: one space, no comment, an
+# angle that float() always reads, operands too short for int()'s digit limit.
+# Groups: name, angle, then up to three operands.
+_CANONICAL_GATE_RE = re.compile(
+    r"(?a)(x|h|ry|cx|cz|ccx)(?:\((-?\d+(?:\.\d+)?(?:e[-+]\d+)?)\))? "
+    r"q\[(\d{1,18})\](?:,q\[(\d{1,18})\](?:,q\[(\d{1,18})\])?)?;"
+)
+
 _PARSE_KINDS = {"x": "X", "h": "H", "ry": "RY", "cx": "CX", "cz": "CZ", "ccx": "CCX"}
 
 
@@ -113,13 +130,16 @@ def _angle(text: str) -> float:
     raise ValueError(f"bad angle {text!r}")
 
 
-_CHUNK = 1 << 16  # characters of text split into lines at a time
+# Characters of text split into lines, and matched, at a time: about 700
+# export lines, whose Match objects take about 140 KB at once.
+_CHUNK = 1 << 14
 _BATCH = 4096  # gate lines checked at a time
 
 
-def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """What enumerate(text.splitlines(), 1) yields, splitting a chunk of at
-    least _CHUNK characters at a time rather than the whole text.
+def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The lines of text.splitlines(), each list with the number of its first
+    line, splitting a chunk of at least _CHUNK characters at a time rather
+    than the whole text.
 
     Each chunk ends just after a "\n", and there every line break that
     splitlines() knows ends too, "\r\n" included, so no break spans two
@@ -129,9 +149,15 @@ def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
     while start < len(text):
         end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
         lines = text[start:end].splitlines()
-        yield from enumerate(lines, lineno)
+        yield lineno, lines
         lineno += len(lines)
         start = end
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """What enumerate(text.splitlines(), 1) yields, read from _line_chunks."""
+    for lineno, lines in _line_chunks(text):
+        yield from enumerate(lines, lineno)
 
 
 @gc_paused()
@@ -143,9 +169,16 @@ def parse_qasm_subset(text: str) -> Circuit:
     A measure must write a bit of the one declared creg. Parsed with the
     cyclic collector paused.
 
-    Gate lines are checked in batches of _BATCH by the builders' list-wide
-    Gate constructor; a pending batch is checked before any other error is
-    raised, so the first bad line is the one reported.
+    Lines take one of two routes. Each chunk's lines are matched against
+    _CANONICAL_GATE_RE in one pass; after the qreg, a run of consecutive
+    gate lines written as export_qasm writes them is converted as a whole
+    and its operands range-checked with one max. Every other line, and a
+    run with an operand past the qreg, goes through the per-line rules,
+    the one place that knows the whole grammar and words an error.
+
+    Gate lines of both routes are checked in batches of _BATCH by the
+    builders' list-wide Gate constructor; a pending batch is checked before
+    any other error is raised, so the first bad line is the one reported.
     """
     lay: RegisterLayout | None = None
     creg: tuple[str, int] | None = None
@@ -165,28 +198,48 @@ def parse_qasm_subset(text: str) -> Circuit:
         fields.clear()
         linenos.clear()
 
-    for lineno, raw in _numbered_lines(text):
+    def add_run(run: list[re.Match], lineno: int) -> bool:
+        """Add a run of canonical gate lines, the first numbered lineno, to
+        the pending batch; add nothing and return False if an operand is
+        past the qreg."""
+        entries = [
+            (
+                _PARSE_KINDS[name],
+                (int(q0), int(q1), int(q2)) if q2 else (int(q0), int(q1)) if q1 else (int(q0),),
+                None if angle is None else float(angle),
+            )
+            for name, angle, q0, q1, q2 in map(re.Match.groups, run)
+        ]
+        if max(itertools.chain.from_iterable(map(operator.itemgetter(1), entries))) >= lay.q_total:
+            return False
+        fields.extend(entries)
+        linenos.extend(range(lineno, lineno + len(entries)))
+        return True
+
+    def parse_line(lineno: int, raw: str) -> None:
+        """The per-line rules: one line of any kind, its error reported at lineno."""
+        nonlocal lay, creg
         line = (raw.split("//")[0] if "//" in raw else raw).strip()
         if not line:
-            continue
+            return
         try:
-            # Gates, most of an export, are matched first; a known gate name is no other statement.
+            # A known gate name is no other statement, so gates are matched first.
             m = _GATE_RE.match(line)
             kind = _PARSE_KINDS.get(m["name"]) if m else None
             if kind is None:
                 if line in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
-                    continue
+                    return
                 if m_qreg := _QREG_RE.match(line):
                     if lay is not None:
                         raise ValueError("second qreg declaration")
                     message = "qreg width does not match any board size"
                     lay = _layout_for_qubits(_int(m_qreg[1], message))
-                    continue
+                    return
                 if m_creg := _CREG_RE.match(line):
                     if creg is not None:
                         raise ValueError("second creg declaration")
                     creg = m_creg["name"], _int(m_creg["width"], "creg width too large")
-                    continue
+                    return
                 if m:  # no gate line is also a measure: that needs "->"
                     raise ValueError(f"unknown gate {m['name']!r}")
                 m = _MEASURE_RE.match(line)
@@ -214,14 +267,30 @@ def parse_qasm_subset(text: str) -> Circuit:
                 message = f"bit index out of range for creg {name}[{width}]"
                 if _int(m["bit"], message) >= width:
                     raise ValueError(message)
-                continue
+                return
             fields.append((kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
             linenos.append(lineno)
         except ValueError as exc:  # every rule above raises a plain ValueError
             flush()  # an earlier bad gate line comes first
             raise QasmParseError(lineno, str(exc)) from None
-        if len(fields) == _BATCH:
-            flush()
+
+    for first, lines in _line_chunks(text):
+        matches = list(map(_CANONICAL_GATE_RE.fullmatch, lines))
+        matches.append(None)  # so that every run ends at a None
+        i = 0
+        while i < len(lines):
+            if lay is not None and matches[i] is not None:
+                # A run is cut where the batch fills: batches stay _BATCH lines long.
+                end = min(matches.index(None, i), i + _BATCH - len(fields))
+                if not add_run(matches[i:end], first + i):
+                    for k in range(i, end):  # raises at the first operand past the qreg
+                        parse_line(first + k, lines[k])
+                i = end
+            else:
+                parse_line(first + i, lines[i])
+                i += 1
+            if len(fields) == _BATCH:
+                flush()
     flush()
     if lay is None:
         raise QasmParseError(1, "missing qreg declaration")

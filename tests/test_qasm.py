@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -461,6 +462,120 @@ class TestBatchedErrors:
         lines[bad] = "ccx q[0],q[4],q[0];"
         message = f"line {bad + 1}: gate operands must be distinct"
         assert self.parse_error(lines) == (bad + 1, message)
+
+
+def outcome(text):
+    """The parsed Circuit, or the (line number, message) of the parse error."""
+    try:
+        return parse_qasm_subset(text)
+    except QasmParseError as err:
+        return err.lineno, str(err)
+
+
+def per_line_outcome(text):
+    """outcome(text) with every line taken through the per-line rules."""
+    with mock.patch.object(qasm, "_CANONICAL_GATE_RE", re.compile(r"(?!)")):
+        return outcome(text)
+
+
+# Single-line mutations of a gate line, as (line, its operand digits, qreg width) -> line.
+_MUTATIONS = {
+    "trailing comment": lambda line, ops, q: line + " // c",
+    "leading space": lambda line, ops, q: " " + line,
+    "trailing space": lambda line, ops, q: line + " ",
+    "CRLF": lambda line, ops, q: line + "\r",  # the line then ends in "\r\n"
+    "operand past the qreg": lambda line, ops, q: line.replace(f"q[{ops[-1]}]", f"q[{q}]"),
+    "repeated operand": lambda line, ops, q: f"cx q[{ops[0]}],q[{ops[0]}];",
+    "ry(1e400)": lambda line, ops, q: f"ry(1e400) q[{ops[0]}];",
+    "ry(1e+400)": lambda line, ops, q: f"ry(1e+400) q[{ops[0]}];",
+    "ry(1_0)": lambda line, ops, q: f"ry(1_0) q[{ops[0]}];",
+    "ry(inf)": lambda line, ops, q: f"ry(inf) q[{ops[0]}];",
+    "upper-case name": lambda line, ops, q: line[0].upper() + line[1:],
+    "unknown name": lambda line, ops, q: "swap" + line[line.index(" "):],
+    "second qreg": lambda line, ops, q: f"qreg q[{q}];",
+}
+
+
+_GATE_NAMES = ("x ", "h ", "ry(", "cx ", "cz ", "ccx ")
+
+
+class TestCanonicalRoute:
+    """Gate lines written exactly as export_qasm writes them are converted a
+    run at a time; the result, or the first error, is what the per-line rules
+    give for every line."""
+
+    N5_LINES = export_qasm(build_full_circuit(5)).text.splitlines()
+    N5_QREG = N5_LINES.index(f"qreg q[{layout(5).q_total}];")
+    N5_GATES = [i for i, line in enumerate(N5_LINES) if line.startswith(_GATE_NAMES)]
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 32])
+    def test_export_parses_to_the_same_circuit_by_either_route(self, n):
+        text = export_qasm(build_full_circuit(n)).text
+        assert outcome(text) == per_line_outcome(text)
+
+    def test_export_gate_lines_skip_the_per_line_rules(self):
+        doc = export_qasm(build_full_circuit(8))
+        seen, gate_re = [], qasm._GATE_RE
+
+        class Recording:
+            def match(self, line):
+                seen.append(line)
+                return gate_re.match(line)
+
+        with mock.patch.object(qasm, "_GATE_RE", Recording()):
+            circuit = parse_qasm_subset(doc.text)
+        assert len(circuit.gates) == doc.gate_line_count
+        assert seen and all(line.startswith(("OPENQASM", "include", "qreg", "creg", "measure")) for line in seen)
+
+    @pytest.mark.parametrize("mutation", [*_MUTATIONS, "moved above the qreg"])
+    @given(st.data())
+    def test_a_mutated_line_gives_the_same_result_by_either_route(self, mutation, data):
+        lines = list(self.N5_LINES)
+        i = data.draw(st.sampled_from(self.N5_GATES), label="gate line")
+        if mutation == "moved above the qreg":
+            lines.insert(self.N5_QREG, lines.pop(i))
+        else:
+            ops = re.findall(r"q\[(\d+)\]", lines[i])
+            lines[i] = _MUTATIONS[mutation](lines[i], ops, layout(5).q_total)
+        text = "\n".join(lines) + "\n"
+        assert outcome(text) == per_line_outcome(text)
+
+    N19_LINES = export_qasm(build_full_circuit(19)).text.splitlines()
+    N19_GATES = [i for i, line in enumerate(N19_LINES) if line.startswith(_GATE_NAMES)]
+
+    @staticmethod
+    def bad_line(bad, line):
+        """A bad line at least as long as line, so that a chunk's last line stays its last."""
+        if bad == "operand past the qreg":
+            last = re.findall(r"q\[(\d+)\]", line)[-1]
+            return line[: line.rindex("q[")] + f"q[{str(layout(19).q_total).rjust(len(last), '0')}];"
+        short = f"ry(1{'e+400' if bad == 'ry(1e+400)' else 'e400'}) q[0];"
+        return short.replace("(1", "(1" + "0" * max(0, len(line) - len(short)))
+
+    CHUNK_ENDS = ["first line of chunk 2", "last line of chunk 2"]
+    # Positions among the gate lines, which an export writes one after another, _BATCH to a batch.
+    BATCH_ENDS = {"first line of batch 1": 0, "last line of batch 1": qasm._BATCH - 1, "first line of batch 2": qasm._BATCH}
+
+    @pytest.mark.parametrize("bad, message", [
+        ("operand past the qreg", f"qubit index out of range for qreg q[{layout(19).q_total}]"),
+        ("ry(1e400)", "RY requires a finite angle"),
+        ("ry(1e+400)", "RY requires a finite angle"),
+    ])
+    @pytest.mark.parametrize("where", [*CHUNK_ENDS, *BATCH_ENDS])
+    def test_bad_line_at_a_chunk_or_batch_end_reports_its_own_line(self, bad, message, where):
+        def chunk_ends(text):
+            return [(first, first + len(lines) - 1) for first, lines in qasm._line_chunks(text)]
+
+        lines = list(self.N19_LINES)
+        if where in self.CHUNK_ENDS:
+            index = chunk_ends("\n".join(lines) + "\n")[1][where.startswith("last")] - 1
+        else:
+            index = self.N19_GATES[self.BATCH_ENDS[where]]
+        lines[index] = self.bad_line(bad, lines[index])
+        text = "\n".join(lines) + "\n"
+        if where in self.CHUNK_ENDS:  # the bad line is still where its name says
+            assert chunk_ends(text)[1][where.startswith("last")] == index + 1
+        assert outcome(text) == (index + 1, f"line {index + 1}: {message}")
 
 
 class TestRoundTrip:
