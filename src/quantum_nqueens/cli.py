@@ -5,9 +5,11 @@ unless `VerificationReport.ok`, `counts` unless the built `GateCensus`
 equals the closed forms', naming on stderr each per-kind count that
 differs), 2 usage error, 3 resource bound exceeded (`solve`/`verify`/`sample`
 predicting a peak above MemAvailable, a predicted gate total above
-BUILD_GATE_CAP = 10**6 for `counts`/`export-qasm`, or an `oracle` board
-above ORACLE_CAP = 12), 4 output cannot be written (a full or closed stdout,
---help output included, a reader that has gone, or a failed `export-qasm -o`).
+BUILD_GATE_CAP = 10**6 for `export-qasm`, a `counts` board above
+CLOSED_FORM_CAP = 10**6, or an `oracle` board above ORACLE_CAP = 12; `counts`
+above BUILD_GATE_CAP prints the closed forms unbuilt and exits 0), 4 output
+cannot be written (a full or closed stdout, --help output included, a reader
+that has gone, or a failed `export-qasm -o`).
 --format defaults to $NQSOLVE_FORMAT, else text. All randomness flows from
 --seed.
 """

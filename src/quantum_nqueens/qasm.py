@@ -7,10 +7,11 @@ unitarily equal to the controlled rotation.
 
 The parser takes each line by one of two routes. Gate lines written exactly
 as export_qasm writes them are matched a chunk of text at a time and, after
-the qreg, converted a run at a time. Every other line takes the per-line
-rules, the one owner of the full grammar and of every error message; a run
-with an operand past the qreg is handed to them too. Either way every gate
-passes Gate's checks, and the first bad line is the one reported.
+the qreg, converted and checked a run at a time. Every other line takes the
+per-line rules, the one owner of the full grammar and the one place that
+raises a parse error; a run that fails its checks is handed to them too.
+Either way every gate passes Gate's checks, and the first bad line is the
+one reported.
 """
 
 from __future__ import annotations
@@ -79,10 +80,8 @@ def export_qasm(circuit: Circuit) -> QasmDocument:
 
 
 # (?a) makes \d and \w ASCII-only, so int() never reads another script's digits.
-# The first three operands are captured by the match itself; `more` holds any further ones.
 _GATE_RE = re.compile(
-    r"(?a)^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[(?P<q0>\d+)\]"
-    r"(?:\s*,\s*q\[(?P<q1>\d+)\](?:\s*,\s*q\[(?P<q2>\d+)\](?P<more>(?:\s*,\s*q\[\d+\])+)?)?)?)\s*;$"
+    r"(?a)^(?P<name>[a-z]+)\s*(?:\((?P<arg>[^)]*)\))?\s*(?P<operands>q\[\d+\](?:\s*,\s*q\[\d+\])*)\s*;$"
 )
 _OPERAND_RE = re.compile(r"(?a)q\[(\d+)\]")
 _QREG_RE = re.compile(r"(?a)^qreg\s+q\[(\d+)\]\s*;$")
@@ -133,7 +132,6 @@ def _angle(text: str) -> float:
 # Characters of text split into lines, and matched, at a time: about 700
 # export lines, whose Match objects take about 140 KB at once.
 _CHUNK = 1 << 14
-_BATCH = 4096  # gate lines checked at a time
 
 
 def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -154,12 +152,6 @@ def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
         start = end
 
 
-def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
-    """What enumerate(text.splitlines(), 1) yields, read from _line_chunks."""
-    for lineno, lines in _line_chunks(text):
-        yield from enumerate(lines, lineno)
-
-
 @gc_paused()
 def parse_qasm_subset(text: str) -> Circuit:
     """Parse text produced by export_qasm back into a Circuit.
@@ -171,37 +163,20 @@ def parse_qasm_subset(text: str) -> Circuit:
 
     Lines take one of two routes. Each chunk's lines are matched against
     _CANONICAL_GATE_RE in one pass; after the qreg, a run of consecutive
-    gate lines written as export_qasm writes them is converted as a whole
-    and its operands range-checked with one max. Every other line, and a
-    run with an operand past the qreg, goes through the per-line rules,
-    the one place that knows the whole grammar and words an error.
-
-    Gate lines of both routes are checked in batches of _BATCH by the
-    builders' list-wide Gate constructor; a pending batch is checked before
-    any other error is raised, so the first bad line is the one reported.
+    gate lines written as export_qasm writes them is converted as a whole,
+    its operands range-checked with one max and its gates checked by the
+    builders' list-wide Gate constructor. Every other line, and a run that
+    fails a check, goes through the per-line rules, the one place that
+    knows the whole grammar and raises an error. Every gate before that
+    line has been checked by then, so the first bad line is the one reported.
     """
     lay: RegisterLayout | None = None
     creg: tuple[str, int] | None = None
     gates: list[Gate] = []
-    fields: list[tuple] = []  # the (kind, qubits, theta) of each pending gate line
-    linenos: list[int] = []
 
-    def flush() -> None:
-        try:
-            gates.extend(_checked_gates(fields))
-        except ValueError:  # find the first bad line: Gate raises the same error for it
-            for lineno, f in zip(linenos, fields):
-                try:
-                    Gate(*f)
-                except ValueError as exc:
-                    raise QasmParseError(lineno, str(exc)) from None
-        fields.clear()
-        linenos.clear()
-
-    def add_run(run: list[re.Match], lineno: int) -> bool:
-        """Add a run of canonical gate lines, the first numbered lineno, to
-        the pending batch; add nothing and return False if an operand is
-        past the qreg."""
+    def add_run(run: list[re.Match]) -> bool:
+        """Add the gates of a run of canonical gate lines; add nothing and
+        return False if an operand is past the qreg or a gate fails a check."""
         entries = [
             (
                 _PARSE_KINDS[name],
@@ -212,8 +187,10 @@ def parse_qasm_subset(text: str) -> Circuit:
         ]
         if max(itertools.chain.from_iterable(map(operator.itemgetter(1), entries))) >= lay.q_total:
             return False
-        fields.extend(entries)
-        linenos.extend(range(lineno, lineno + len(entries)))
+        try:
+            gates.extend(_checked_gates(entries))
+        except ValueError:  # the per-line rules word the error of the first bad line
+            return False
         return True
 
     def parse_line(lineno: int, raw: str) -> None:
@@ -249,11 +226,7 @@ def parse_qasm_subset(text: str) -> Circuit:
                 statement = "measure" if kind is None else "gate statement"
                 raise ValueError(f"{statement} before qreg declaration")
             try:
-                if kind is None or m["more"]:  # a measure, or a gate past three operands
-                    qubits = tuple(map(int, _OPERAND_RE.findall(m["operands"])))
-                else:
-                    q0, q1, q2 = m.group("q0", "q1", "q2")
-                    qubits = (int(q0), int(q1), int(q2)) if q2 else (int(q0), int(q1)) if q1 else (int(q0),)
+                qubits = tuple(map(int, _OPERAND_RE.findall(m["operands"])))
             except ValueError:  # past Python's int-to-str digit limit, so past any qreg
                 qubits = (lay.q_total,)
             if max(qubits) >= lay.q_total:
@@ -268,10 +241,8 @@ def parse_qasm_subset(text: str) -> Circuit:
                 if _int(m["bit"], message) >= width:
                     raise ValueError(message)
                 return
-            fields.append((kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
-            linenos.append(lineno)
+            gates.append(Gate(kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
         except ValueError as exc:  # every rule above raises a plain ValueError
-            flush()  # an earlier bad gate line comes first
             raise QasmParseError(lineno, str(exc)) from None
 
     for first, lines in _line_chunks(text):
@@ -280,18 +251,14 @@ def parse_qasm_subset(text: str) -> Circuit:
         i = 0
         while i < len(lines):
             if lay is not None and matches[i] is not None:
-                # A run is cut where the batch fills: batches stay _BATCH lines long.
-                end = min(matches.index(None, i), i + _BATCH - len(fields))
-                if not add_run(matches[i:end], first + i):
-                    for k in range(i, end):  # raises at the first operand past the qreg
+                end = matches.index(None, i)
+                if not add_run(matches[i:end]):
+                    for k in range(i, end):  # raises at the run's first bad line
                         parse_line(first + k, lines[k])
                 i = end
             else:
                 parse_line(first + i, lines[i])
                 i += 1
-            if len(fields) == _BATCH:
-                flush()
-    flush()
     if lay is None:
         raise QasmParseError(1, "missing qreg declaration")
     return Circuit(layout=lay, gates=tuple(gates))

@@ -209,6 +209,15 @@ class TestCounts:
         assert len(rows) == 4
         assert all(row.split()[-2:] == ["-", "-"] for row in rows)
 
+    def test_exits_3_only_past_the_counts_cap(self, no_build, capsys):
+        code, text = invoke(["counts", str(cli.CLOSED_FORM_CAP)])
+        assert code == cli.EXIT_OK
+        assert all(row.split()[-2:] == ["-", "-"] for row in text.splitlines()[1:])
+        code, text = invoke(["counts", str(cli.CLOSED_FORM_CAP + 1)])
+        assert code == cli.EXIT_RESOURCE == 3
+        assert text == ""
+        assert capsys.readouterr().err == f"error: n={cli.CLOSED_FORM_CAP + 1} exceeds the counts cap {cli.CLOSED_FORM_CAP}\n"
+
     @pytest.fixture
     def padded_w_prep(self, monkeypatch):
         """Append one X to every W-prep row, so only the W-prep count disagrees."""

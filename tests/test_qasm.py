@@ -370,6 +370,11 @@ class TestParse:
 _BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def numbered_lines(text):
+    """The lines of qasm._line_chunks(text), each with its number."""
+    return [pair for first, lines in qasm._line_chunks(text) for pair in enumerate(lines, first)]
+
+
 class TestChunkedLines:
     """The parser splits its text a chunk at a time; the numbered lines are
     those of the whole text's splitlines()."""
@@ -384,24 +389,38 @@ class TestChunkedLines:
     def test_same_lines_and_numbers_as_splitlines(self, pieces, chunk):
         text = "".join(pieces)
         with mock.patch.object(qasm, "_CHUNK", chunk):
-            assert list(qasm._numbered_lines(text)) == list(enumerate(text.splitlines(), 1))
+            assert numbered_lines(text) == list(enumerate(text.splitlines(), 1))
 
     def test_default_chunk_on_an_export(self):
         text = export_qasm(build_full_circuit(19)).text
         assert len(text) > 2 * qasm._CHUNK
-        assert list(qasm._numbered_lines(text)) == list(enumerate(text.splitlines(), 1))
+        assert numbered_lines(text) == list(enumerate(text.splitlines(), 1))
 
-    @pytest.mark.parametrize("chunk, batch", [(1, 1), (7, 3), (64, 4096)])
-    def test_parse_is_the_same_for_any_chunk_and_batch(self, chunk, batch):
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_parse_is_the_same_for_any_chunk(self, chunk):
         text = export_qasm(build_full_circuit(4)).text
         expected = parse_qasm_subset(text)
-        with mock.patch.object(qasm, "_CHUNK", chunk), mock.patch.object(qasm, "_BATCH", batch):
+        with mock.patch.object(qasm, "_CHUNK", chunk):
             assert parse_qasm_subset(text.replace("\n", "\r\n")) == expected
+
+    def test_gates_are_checked_at_most_a_chunk_at_a_time(self):
+        text = export_qasm(build_full_circuit(19)).text
+        sizes, checked_gates = [], qasm._checked_gates
+
+        def recording(fields):
+            sizes.append(len(fields))
+            return checked_gates(fields)
+
+        with mock.patch.object(qasm, "_checked_gates", recording):
+            parsed = parse_qasm_subset(text)
+        assert sum(sizes) == len(parsed.gates)
+        assert max(sizes) <= max(len(lines) for _, lines in qasm._line_chunks(text))
 
 
 class TestBatchedErrors:
-    """Gate lines are checked a batch at a time, yet the first bad line of the
-    text is the one reported, with its own number and message."""
+    """Gate lines are checked a run at a time, or by the per-line rules, yet
+    the first bad line of the text is the one reported, with its own number
+    and message."""
 
     HEADER = ["OPENQASM 2.0;", "qreg q[6];", "creg c[6];", "x q[0];"]
     BAD_GATE = ("cx q[1],q[1];", "gate operands must be distinct")
@@ -443,7 +462,7 @@ class TestBatchedErrors:
     )
     @pytest.mark.parametrize("index", [0, 1, 4094, 4095, 4096, 4097, 8191, 8192, 9999])
     def test_bad_gate_in_any_batch_reports_its_own_line(self, bad, message, index):
-        gates = ["h q[2];", "cz q[3],q[4];"] * 5000  # after the header's x, gates[4094] ends batch 1
+        gates = ["h q[2];", "cz q[3],q[4];"] * 5000  # several chunks of gate lines
         gates[index] = bad
         lines = self.HEADER + ["// a comment", ""] + gates + ["measure q[0] -> c[0];"]
         lineno = len(self.HEADER) + 2 + index + 1
@@ -553,16 +572,16 @@ class TestCanonicalRoute:
         return short.replace("(1", "(1" + "0" * max(0, len(line) - len(short)))
 
     CHUNK_ENDS = ["first line of chunk 2", "last line of chunk 2"]
-    # Positions among the gate lines, which an export writes one after another, _BATCH to a batch.
-    BATCH_ENDS = {"first line of batch 1": 0, "last line of batch 1": qasm._BATCH - 1, "first line of batch 2": qasm._BATCH}
+    # Positions among the gate lines, which an export writes one after another.
+    GATE_POSITIONS = {"gate line 0": 0, "gate line 4095": 4095, "gate line 4096": 4096}
 
     @pytest.mark.parametrize("bad, message", [
         ("operand past the qreg", f"qubit index out of range for qreg q[{layout(19).q_total}]"),
         ("ry(1e400)", "RY requires a finite angle"),
         ("ry(1e+400)", "RY requires a finite angle"),
     ])
-    @pytest.mark.parametrize("where", [*CHUNK_ENDS, *BATCH_ENDS])
-    def test_bad_line_at_a_chunk_or_batch_end_reports_its_own_line(self, bad, message, where):
+    @pytest.mark.parametrize("where", [*CHUNK_ENDS, *GATE_POSITIONS])
+    def test_bad_line_at_a_chunk_end_or_gate_position_reports_its_own_line(self, bad, message, where):
         def chunk_ends(text):
             return [(first, first + len(lines) - 1) for first, lines in qasm._line_chunks(text)]
 
@@ -570,7 +589,7 @@ class TestCanonicalRoute:
         if where in self.CHUNK_ENDS:
             index = chunk_ends("\n".join(lines) + "\n")[1][where.startswith("last")] - 1
         else:
-            index = self.N19_GATES[self.BATCH_ENDS[where]]
+            index = self.N19_GATES[self.GATE_POSITIONS[where]]
         lines[index] = self.bad_line(bad, lines[index])
         text = "\n".join(lines) + "\n"
         if where in self.CHUNK_ENDS:  # the bad line is still where its name says
