@@ -1,5 +1,17 @@
 """Quantum N-Queens solver circuit: construction, exact sparse simulation,
-post-selection analysis, and OpenQASM 2.0 export."""
+post-selection analysis, and OpenQASM 2.0 export.
+
+`board`, `circuit` and `qasm` load with the package; none of them imports
+numpy. The submodules `analysis`, `sim` and `planes`, which import numpy, load
+on first use through the module `__getattr__` (PEP 562), and so does every
+name of `__all__` that `analysis` or `sim` defines: `OutcomeRecord`,
+`SamplingReport`, `VerificationReport`, `ancilla_truth`, `decode`,
+`postselect_solutions`, `sampling_report` and `verify_against_oracle` from
+`analysis`; `SparseState`, `apply_gate`, `init_state`, `readout`, `run` and
+`sample` from `sim`.
+"""
+
+import importlib
 
 from .board import (
     diagonal_pairs,
@@ -22,18 +34,28 @@ from .circuit import (
     gate_census,
     layout,
 )
-from .analysis import (
-    OutcomeRecord,
-    SamplingReport,
-    VerificationReport,
-    ancilla_truth,
-    decode,
-    postselect_solutions,
-    sampling_report,
-    verify_against_oracle,
-)
 from .qasm import QasmDocument, export_qasm, parse_qasm_subset
-from .sim import SparseState, apply_gate, init_state, readout, run, sample
+
+_SUBMODULES = ("analysis", "planes", "sim")
+# Each name re-exported on first use, and the submodule that defines it.
+_REEXPORTS = {
+    **dict.fromkeys(
+        (
+            "OutcomeRecord",
+            "SamplingReport",
+            "VerificationReport",
+            "ancilla_truth",
+            "decode",
+            "postselect_solutions",
+            "sampling_report",
+            "verify_against_oracle",
+        ),
+        "analysis",
+    ),
+    **dict.fromkeys(
+        ("SparseState", "apply_gate", "init_state", "readout", "run", "sample"), "sim"
+    ),
+}
 
 __all__ = [
     "Circuit",
@@ -73,3 +95,20 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a numpy-backed submodule or re-exported name on first use, and
+    cache it in the module globals."""
+    if name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _REEXPORTS:
+        value = getattr(importlib.import_module(f".{_REEXPORTS[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULES, *_REEXPORTS})

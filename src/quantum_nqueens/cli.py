@@ -11,7 +11,8 @@ above BUILD_GATE_CAP prints the closed forms unbuilt and exits 0), 4 output
 cannot be written (a full or closed stdout, --help output included, a reader
 that has gone, or a failed `export-qasm -o`).
 --format defaults to $NQSOLVE_FORMAT, else text. All randomness flows from
---seed.
+--seed. Only `solve`, `verify` and `sample` import `analysis` and `sim`, and
+with them numpy; `sample` alone loads scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import sys
 from collections import Counter
 
-from . import analysis, board, circuit, qasm, sim
+from . import board, circuit, qasm
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,10 +41,11 @@ BUILD_GATE_CAP = 10**6
 # RSS above the n=1 run over the 2*n**n terms' bytes: up to 12.6x at n=5, 6.7x at n=6, 4.3x at n=7.
 TEMPORARIES = 16
 # `sample` RSS above an interpreter that has imported this module, fitted from
-# child ru_maxrss at n=5..8: scipy.special and fixed costs 26-28 MiB, then
-# 45 bytes per board (probability, CDF, searches and counts at 8 bytes each,
-# and the ancilla bit planes), and each drawn float.
-SAMPLE_FIXED_BYTES = 28 << 20
+# child ru_maxrss: fixed costs of 36-40 MiB at n=4..7 (numpy about 13 MiB of
+# them, then scipy.special), then 45 bytes per board at n=5..8 (probability,
+# CDF, searches and counts at 8 bytes each, and the ancilla bit planes), and
+# each drawn float.
+SAMPLE_FIXED_BYTES = 40 << 20
 SAMPLE_BOARD_BYTES = 48
 SAMPLE_SHOT_BYTES = 8
 # Backtracking grows about 5x per board size (0.6 to 0.8 s at n=12), so larger boards are refused.
@@ -72,6 +74,8 @@ def _available_bytes() -> int:
 
 def _predicted_bytes(n: int) -> int:
     """Peak bytes of `solve`/`verify`: simulating board n, 2*n**n terms at most."""
+    from . import sim  # numpy loads only for the commands that simulate
+
     words = -(-circuit.closed_form_census(n).qubits // sim.WORD_BITS)
     return 2 * n**n * (8 * words + 16) * TEMPORARIES
 
@@ -103,6 +107,8 @@ def _board_ascii(cols: tuple[int, ...]) -> str:
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     """Certify board n; `solve` draws the boards, `verify` the fields. Exits by `report.ok`."""
+    from . import analysis
+
     _check_memory(args.n, _predicted_bytes)
     report = analysis.verify_against_oracle(args.n)
     if args.format == "json":
@@ -162,6 +168,8 @@ def cmd_counts(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sample(args: argparse.Namespace, out) -> int:
+    from . import analysis
+
     _check_memory(args.n, lambda n: _predicted_sample_bytes(n, args.shots))
     report = analysis.sampling_report(args.n, shots=args.shots, seed=args.seed)
     if args.format == "json":

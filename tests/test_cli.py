@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quantum_nqueens import circuit, cli, sim
+from quantum_nqueens import analysis, circuit, cli, sim
 from quantum_nqueens.analysis import OutcomeRecord, encode
 from quantum_nqueens.qasm import parse_qasm_subset
 
@@ -322,7 +322,7 @@ class TestMemoryBound:
         def reached(n, shots, seed):
             raise Reached(n)
 
-        monkeypatch.setattr(cli.analysis, "sampling_report", reached)
+        monkeypatch.setattr(analysis, "sampling_report", reached)
         budget(7 * 10**9)
         with pytest.raises(Reached):
             invoke(["sample", "8", "--shots", "100000"])
@@ -505,29 +505,32 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
+RUN = "import io, quantum_nqueens.cli as cli\nassert cli.main({!r}, out=io.StringIO()) == 0"
+
+
 @pytest.mark.parametrize(
-    "probe, expected",
+    "setup, loaded",
     [
-        pytest.param(
-            "import sys, quantum_nqueens.cli; print('scipy' in sys.modules)",
-            "False\n",
-            id="import",
-        ),
+        pytest.param("import quantum_nqueens", [], id="package"),
+        pytest.param("import quantum_nqueens.cli", [], id="import"),
+        pytest.param(RUN.format(["counts", "8"]), [], id="counts"),
+        pytest.param(RUN.format(["export-qasm", "5"]), [], id="export-qasm"),
+        pytest.param(RUN.format(["oracle", "6"]), [], id="oracle"),
+        pytest.param(RUN.format(["verify", "4"]), ["numpy"], id="verify"),
         # sample loads only scipy.special, for the chi-square survival function.
-        pytest.param(
-            "import io, sys, quantum_nqueens.cli as cli; "
-            "cli.main(['sample', '4'], out=io.StringIO()); "
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)",
-            "False True\n",
-            id="sample",
-        ),
+        pytest.param(RUN.format(["sample", "4"]), ["numpy", "scipy", "scipy.special"], id="sample"),
     ],
 )
-def test_cli_import_does_not_load_scipy(probe, expected):
+def test_cli_import_does_not_load_scipy(setup, loaded):
+    """Neither the import nor a command that never simulates loads numpy or scipy."""
+    probe = (
+        f"{setup}\nimport sys\n"
+        "print(*sorted(sys.modules.keys() & {'numpy', 'scipy', 'scipy.special', 'scipy.stats'}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True
     )
-    assert result.stdout == expected
+    assert result.stdout.split() == loaded
 
 
 def test_sample_7_peak_stays_under_the_prediction():
