@@ -78,50 +78,41 @@ class Gate(_GateFields):
         return self  # X, H, CX, CZ, CCX are self-inverse
 
 
-def _checked_gates(fields: list[tuple]) -> list[Gate]:
-    """`[Gate(*f) for f in fields]` for a list of (kind, qubits, theta) tuples,
-    with each of Gate's checks made as one C-level pass over the whole list.
+def _checked_gates(kinds, qubits, thetas) -> list[Gate]:
+    """`[Gate(*g) for g in zip(kinds, qubits, thetas, strict=True)]` for three
+    parallel sequences, one per field, with each of Gate's checks made as one
+    C-level pass over a whole column.
 
-    When every entry already has the form Gate gives it (an exact tuple of
-    exact ints, an exact float angle) and passes every check, each entry
-    becomes a Gate that shares its operand tuple. Otherwise the list is built
-    again gate by gate, so an entry that needs converting (a list, a numpy
-    int, a bool) is converted as Gate converts it, and the first bad entry
-    raises Gate's own ValueError.
+    When every gate already has the form Gate gives it (an exact tuple of
+    exact ints, an exact float angle) and passes every check, each becomes a
+    Gate that shares its operand tuple. Otherwise the gates are built again
+    one by one, so a gate that needs converting (a list, a numpy int, a bool)
+    is converted as Gate converts it, and the first bad gate raises Gate's own
+    ValueError. Columns of unequal length raise zip's ValueError.
     """
-    def kinds():
-        return map(operator.itemgetter(0), fields)
-
-    def qubits():
-        return map(operator.itemgetter(1), fields)
-
-    def thetas():
-        return map(operator.itemgetter(2), fields)
-
     def operands():
-        return itertools.chain.from_iterable(qubits())
+        return itertools.chain.from_iterable(qubits)
 
     try:
         passed = (
-            set(map(type, fields)) <= {tuple}
-            and set(map(len, fields)) <= {3}
-            and set(map(type, qubits())) <= {tuple}
+            set(map(type, qubits)) <= {tuple}
             and set(map(type, operands())) <= {int}
             # a kind's arity is never None, so this also rejects an unknown kind
-            and all(map(operator.eq, map(len, qubits()), map(_ARITY.get, kinds())))
+            and all(map(operator.eq, map(len, qubits), map(_ARITY.get, kinds)))
             and min(operands(), default=0) >= 0
             # with at most three operands, they are distinct iff the first and the last
             # each occur once: a count, cheaper than a set per gate
-            and set(map(tuple.count, qubits(), map(operator.itemgetter(0), qubits()))) <= {1}
-            and set(map(tuple.count, qubits(), map(operator.itemgetter(-1), qubits()))) <= {1}
-            and all(map(operator.is_, map(type, thetas()), map(_ANGLE_TYPE.get, kinds())))
-            and all(map(math.isfinite, filter(None, thetas())))  # no None, and 0.0 is finite
+            and set(map(tuple.count, qubits, map(operator.itemgetter(0), qubits))) <= {1}
+            and set(map(tuple.count, qubits, map(operator.itemgetter(-1), qubits))) <= {1}
+            and all(map(operator.is_, map(type, thetas), map(_ANGLE_TYPE.get, kinds)))
+            and all(map(math.isfinite, filter(None, thetas)))  # no None, and 0.0 is finite
         )
     except TypeError:  # an unhashable kind
         passed = False
+    gates = zip(kinds, qubits, thetas, strict=True)
     if not passed:
-        return [Gate(*f) for f in fields]
-    return list(map(tuple.__new__, itertools.repeat(Gate), fields))
+        return [Gate(*g) for g in gates]
+    return list(map(tuple.__new__, itertools.repeat(Gate), gates))
 
 
 @dataclass(frozen=True)
@@ -216,12 +207,13 @@ def build_w_prep(n: int, row: int) -> list[Gate]:
     if not 0 <= row < n:
         raise ValueError(f"row {row} out of range for n={n}")
     base = row * n
-    fields = [("X", (base,), None)]
+    kinds, qubits, thetas = ["X"], [(base,)], [None]
     for i in range(1, n):
         theta = 2.0 * math.acos(math.sqrt(1.0 / (n - i + 1)))
-        fields.append(("CRY", (base + i - 1, base + i), theta))
-        fields.append(("CX", (base + i, base + i - 1), None))
-    return _checked_gates(fields)
+        kinds += ("CRY", "CX")
+        qubits += ((base + i - 1, base + i), (base + i, base + i - 1))
+        thetas += (theta, None)
+    return _checked_gates(kinds, qubits, thetas)
 
 
 def build_column_checks(n: int) -> list[Gate]:
@@ -232,13 +224,14 @@ def build_column_checks(n: int) -> list[Gate]:
     column sum is odd. The last column needs no check.
     """
     lay = layout(n)
-    fields = []
+    qubits = []
     for c in range(n - 1):
         anc = lay.col_anc_qubit(c)
-        fields.append(("H", (anc,), None))
-        fields += [("CZ", (anc, lay.system_qubit(r, c)), None) for r in range(n)]
-        fields.append(("H", (anc,), None))
-    return _checked_gates(fields)
+        qubits.append((anc,))
+        qubits += [(anc, lay.system_qubit(r, c)) for r in range(n)]
+        qubits.append((anc,))
+    kinds = (["H"] + ["CZ"] * n + ["H"]) * (n - 1)
+    return _checked_gates(kinds, qubits, [None] * len(kinds))
 
 
 def ancilla_index(i: int, j: int, n: int) -> int:
@@ -257,21 +250,22 @@ def build_diagonal_checks(n: int) -> list[Gate]:
     Pairs run in canonical order (ascending i, j, x, y); controls are the two
     system qubits, target the ancilla assigned to the row pair. An ancilla
     ends |0> iff its row pair's queens share a diagonal.
+
+    The Toffolis' operand tuples hold the ints of two tables, one per cell and
+    one per row pair, so at most n^2 + n(n-1)/2 int objects serve them all.
     """
     lay = layout(n)
-    fields = [("X", (lay.diag_anc_qubit(k),), None) for k in range(1, lay.n_diag_anc + 1)]
-    # Look each qubit up once, not once per Toffoli.
+    m = lay.n_diag_anc
     system = [[lay.system_qubit(r, c) for c in range(n)] for r in range(n)]
     anc = {
         (i, j): lay.diag_anc_qubit(ancilla_index(i + 1, j + 1, n))
         for i in range(n)
         for j in range(i + 1, n)
     }
-    # All operand tuples first, then the entries: the entries die once the gates
-    # are made, and so leave whole memory pools free, not a hole beside each operand.
-    operands = [(system[i][x], system[j][y], anc[i, j]) for (i, x), (j, y) in diagonal_pairs(n)]
-    fields += zip(itertools.repeat("CCX"), operands, itertools.repeat(None))
-    return _checked_gates(fields)
+    qubits = [(lay.diag_anc_qubit(k),) for k in range(1, m + 1)]
+    qubits += [(system[i][x], system[j][y], anc[i, j]) for (i, x), (j, y) in diagonal_pairs(n)]
+    kinds = ["X"] * m + ["CCX"] * (len(qubits) - m)
+    return _checked_gates(kinds, qubits, [None] * len(qubits))
 
 
 @gc_paused()

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -175,20 +174,20 @@ def parse_qasm_subset(text: str) -> Circuit:
     gates: list[Gate] = []
 
     def add_run(run: list[re.Match]) -> bool:
-        """Add the gates of a run of canonical gate lines; add nothing and
-        return False if an operand is past the qreg or a gate fails a check."""
-        entries = [
-            (
-                _PARSE_KINDS[name],
-                (int(q0), int(q1), int(q2)) if q2 else (int(q0), int(q1)) if q1 else (int(q0),),
-                None if angle is None else float(angle),
-            )
-            for name, angle, q0, q1, q2 in map(re.Match.groups, run)
+        """Add the gates of a run of canonical gate lines, its match groups
+        transposed into columns; add nothing and return False if an operand
+        is past the qreg or a gate fails a check."""
+        names, angles, q0, q1, q2 = zip(*map(re.Match.groups, run))
+        qubits = [
+            (int(a), int(b), int(c)) if c else (int(a), int(b)) if b else (int(a),)
+            for a, b, c in zip(q0, q1, q2)
         ]
-        if max(itertools.chain.from_iterable(map(operator.itemgetter(1), entries))) >= lay.q_total:
+        if max(itertools.chain.from_iterable(qubits)) >= lay.q_total:
             return False
+        kinds = list(map(_PARSE_KINDS.__getitem__, names))
+        thetas = [None if angle is None else float(angle) for angle in angles]
         try:
-            gates.extend(_checked_gates(entries))
+            gates.extend(_checked_gates(kinds, qubits, thetas))
         except ValueError:  # the per-line rules word the error of the first bad line
             return False
         return True

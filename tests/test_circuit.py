@@ -184,12 +184,17 @@ class TestGate:
         assert qasm.parse_qasm_subset(exported).gates == (gate,)
 
 
-def _outcome(build, fields):
-    """What building `fields` gives: the gates, or the error's type and message."""
+def _outcome(build, *args):
+    """What building from `args` gives: the gates, or the error's type and message."""
     try:
-        return build(fields)
+        return build(*args)
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def _columns(*gates):
+    """Gates transposed into the kinds, qubits and thetas columns of `_checked_gates`."""
+    return tuple(map(list, zip(*gates))) or ([], [], [])
 
 
 _ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}
@@ -239,25 +244,25 @@ def _gate_fields(draw):
 
 
 class TestCheckedGates:
-    """`circuit._checked_gates(fields)` is `[Gate(*f) for f in fields]`: the same
-    gates, or the same error for the same first bad entry."""
+    """`circuit._checked_gates(kinds, qubits, thetas)` is `Gate` applied gate by
+    gate to the strictly zipped columns: the same gates, or the same error for
+    the same first bad gate."""
 
-    @given(st.lists(_gate_fields(), max_size=12))
-    @example([("RY", (0,), 10**400)])
-    @example([("X", (0,), None), ("CX", [True, np.int64(3)], None), ("RY", (1,), np.float64(1))])
-    @example([("X", (0,), None), ("H", (1,), 0.5), ("SWAP", (0, 1), None)])
-    @example([(["X"], (0,), None)])  # an unhashable kind: Gate's TypeError
-    @example([("X", (0,), None), ("CX", (True, 3), None)])
-    @example([("X", (np.int64(2),), None)])
-    @example([("CX", _Pair(0, 1), None)])  # a tuple subclass becomes a plain tuple
-    @example([("X", (0,), None), ("X", (1,))])  # theta left to its default
-    @example([("X", (0,), None, None)])  # one field too many: Gate's TypeError
-    @example([("CCX", (0, 1, 2), None), ("CCX", (3, 4, 4), None)])
-    @example([("CCX", (0, 1, 2), None), ("CCX", (3, 4, 3), None)])
-    @example([("CCX", (0, 1, 2), None), ("CCX", (3, 3, 4), None)])
-    def test_matches_gate_by_gate(self, fields):
-        got = _outcome(circuit._checked_gates, fields)
-        expected = _outcome(lambda fs: [Gate(*f) for f in fs], fields)
+    @given(st.lists(_gate_fields(), max_size=12).map(lambda gates: _columns(*gates)))
+    @example(_columns(("RY", (0,), 10**400)))
+    @example(_columns(("X", (0,), None), ("CX", [True, np.int64(3)], None), ("RY", (1,), np.float64(1))))
+    @example(_columns(("X", (0,), None), ("H", (1,), 0.5), ("SWAP", (0, 1), None)))
+    @example(_columns((["X"], (0,), None)))  # an unhashable kind: Gate's TypeError
+    @example(_columns(("X", (0,), None), ("CX", (True, 3), None)))
+    @example(_columns(("X", (np.int64(2),), None)))
+    @example(_columns(("CX", _Pair(0, 1), None)))  # a tuple subclass becomes a plain tuple
+    @example((["X", "H"], [(0,), (1,)], [None]))  # columns of unequal length: zip's ValueError
+    @example(_columns(("CCX", (0, 1, 2), None), ("CCX", (3, 4, 4), None)))
+    @example(_columns(("CCX", (0, 1, 2), None), ("CCX", (3, 4, 3), None)))
+    @example(_columns(("CCX", (0, 1, 2), None), ("CCX", (3, 3, 4), None)))
+    def test_matches_gate_by_gate(self, columns):
+        got = _outcome(circuit._checked_gates, *columns)
+        expected = _outcome(lambda *cs: [Gate(*g) for g in zip(*cs, strict=True)], *columns)
         assert got == expected
         if isinstance(got, list):
             for gate in got:
@@ -270,17 +275,16 @@ class TestCheckedGates:
         # the distinctness pass counts only a gate's first and last operand
         assert max(circuit._ARITY.values()) <= 3
 
-    def test_checked_entries_share_their_operand_tuples(self):
-        fields = [("CCX", (0, 1, 2), None), ("RY", (3,), 0.5), ("X", (4,), None)]
-        gates = circuit._checked_gates(fields)
-        assert gates == [Gate(*f) for f in fields]
-        assert all(g.qubits is f[1] for g, f in zip(gates, fields))
+    def test_checked_gates_share_their_operand_tuples(self):
+        kinds, qubits, thetas = ["CCX", "RY", "X"], [(0, 1, 2), (3,), (4,)], [None, 0.5, None]
+        gates = circuit._checked_gates(kinds, qubits, thetas)
+        assert gates == [Gate(*g) for g in zip(kinds, qubits, thetas)]
+        assert all(g.qubits is q for g, q in zip(gates, qubits))
 
     @pytest.mark.parametrize("theta", [10**400, -(10**400), math.inf, math.nan])
     def test_angle_past_the_float_range_is_a_value_error(self, theta):
-        fields = [("X", (0,), None), ("CRY", (0, 1), theta)]
         with pytest.raises(ValueError) as err:
-            circuit._checked_gates(fields)
+            circuit._checked_gates(["X", "CRY"], [(0,), (0, 1)], [None, theta])
         assert str(err.value) == "CRY requires a finite angle"
 
     @pytest.mark.parametrize(
@@ -472,6 +476,12 @@ class TestDiagonalChecks:
         ]
         assert [(g.qubits[0], g.qubits[1]) for g in ccx] == expected
 
+    def test_toffolis_share_their_operand_ints(self):
+        # one int object per cell and per row pair, not one per operand
+        n = 40
+        ints = {id(q) for g in build_diagonal_checks(n) if g.kind == "CCX" for q in g.qubits}
+        assert len(ints) <= n * n + n * (n - 1) // 2
+
 
 class TestFullCircuit:
     def test_n1_single_gate(self):
@@ -520,9 +530,9 @@ class TestCollectorPause:
     def test_parse_restores_the_collector(self, collector, monkeypatch):
         seen = []  # (collector on, batch size) at each list-wide check of a gate batch
 
-        def checked_gates(fields):
-            seen.append((gc.isenabled(), len(fields)))
-            return circuit._checked_gates(fields)
+        def checked_gates(kinds, qubits, thetas):
+            seen.append((gc.isenabled(), len(kinds)))
+            return circuit._checked_gates(kinds, qubits, thetas)
 
         monkeypatch.setattr(qasm, "_checked_gates", checked_gates)
         text = qasm.export_qasm(build_full_circuit(3)).text

@@ -407,9 +407,9 @@ class TestChunkedLines:
         text = export_qasm(build_full_circuit(19)).text
         sizes, checked_gates = [], qasm._checked_gates
 
-        def recording(fields):
-            sizes.append(len(fields))
-            return checked_gates(fields)
+        def recording(kinds, qubits, thetas):
+            sizes.append(len(kinds))
+            return checked_gates(kinds, qubits, thetas)
 
         with mock.patch.object(qasm, "_checked_gates", recording):
             parsed = parse_qasm_subset(text)
