@@ -193,7 +193,7 @@ class SamplingReport:
 def sampling_report(n: int, shots: int, seed: int) -> SamplingReport:
     """Seeded measurement summary of the n-circuit's final state: distinct
     outcomes, solution hits, and a chi-square uniformity statistic over its
-    n^n boards.
+    n^n boards with its p-value (`chisq.chdtrc`).
 
     The state is read from its planes (`planes.compile_circuit`), never as
     terms: the shots of `sim.sample` on that state are counted per board in
@@ -202,7 +202,7 @@ def sampling_report(n: int, shots: int, seed: int) -> SamplingReport:
     1. Chi-square is degenerate (reported as None) when the support has a
     single outcome.
     """
-    from scipy.special import chdtrc  # only sampling needs scipy; it is slow to import
+    from . import chisq  # only sampling reads its 625-entry table
 
     planes = planes_mod.compile_circuit(circuit_mod.build_full_circuit(n))
     counts = sim_mod.sample_counts(planes.probabilities(), shots, seed)
@@ -211,7 +211,7 @@ def sampling_report(n: int, shots: int, seed: int) -> SamplingReport:
     if len(counts) > 1:
         expected = counts.mean()
         chi_square = float(((counts - expected) ** 2 / expected).sum())
-        p_value = float(chdtrc(len(counts) - 1, chi_square))
+        p_value = chisq.chdtrc(len(counts) - 1, chi_square)
 
     return SamplingReport(
         n=n,

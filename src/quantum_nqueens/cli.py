@@ -12,7 +12,7 @@ cannot be written (a full or closed stdout, --help output included, a reader
 that has gone, or a failed `export-qasm -o`).
 --format defaults to $NQSOLVE_FORMAT, else text. All randomness flows from
 --seed. Only `solve`, `verify` and `sample` import `analysis` and `sim`, and
-with them numpy; `sample` alone loads scipy.
+with them numpy; no command loads scipy.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ BUILD_GATE_CAP = 10**6
 # RSS above the n=1 run over the 2*n**n terms' bytes: up to 12.6x at n=5, 6.7x at n=6, 4.3x at n=7.
 TEMPORARIES = 16
 # `sample` RSS above an interpreter that has imported this module, fitted from
-# child ru_maxrss: fixed costs of 36-40 MiB at n=4..7 (numpy about 13 MiB of
-# them, then scipy.special), then 45 bytes per board at n=5..8 (probability,
-# CDF, searches and counts at 8 bytes each, and the ancilla bit planes), and
-# each drawn float.
-SAMPLE_FIXED_BYTES = 40 << 20
+# child ru_maxrss: fixed costs of 16.6-20.6 MiB at n=4..7 (numpy about 13 MiB
+# of them), rounded up to 24 MiB for other numpy builds, then 45 bytes per
+# board at n=5..8 (probability, CDF, searches and counts at 8 bytes each, and
+# the ancilla bit planes), and each drawn float.
+SAMPLE_FIXED_BYTES = 24 << 20
 SAMPLE_BOARD_BYTES = 48
 SAMPLE_SHOT_BYTES = 8
 # Backtracking grows about 5x per board size (0.6 to 0.8 s at n=12), so larger boards are refused.

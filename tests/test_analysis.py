@@ -380,7 +380,7 @@ class TestVerifyAgainstOracle:
 
 @pytest.fixture(scope="module")
 def states():
-    return {n: sim.run(build_full_circuit(n)) for n in (4, 5)}
+    return {n: sim.run(build_full_circuit(n)) for n in (2, 3, 4, 5)}
 
 
 def shot_by_shot_report(state, shots, seed):
@@ -450,7 +450,9 @@ class TestSamplingReport:
 
     @pytest.mark.parametrize("shots", [1, 310, 20_000])
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("n", [4, 5])
+    # The p-values of n = 2 and 3 take the series and the continued fraction, n = 4 and 5
+    # the asymptotic series.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_equals_the_shot_by_shot_reference(self, states, n, seed, shots):
         report = sampling_report(n, shots=shots, seed=seed)
         assert report == shot_by_shot_report(states[n], shots, seed)
