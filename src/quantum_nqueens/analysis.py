@@ -202,7 +202,7 @@ def sampling_report(n: int, shots: int, seed: int) -> SamplingReport:
     1. Chi-square is degenerate (reported as None) when the support has a
     single outcome.
     """
-    from . import chisq  # only sampling reads its 625-entry table
+    from . import chisq  # only sampling reads its 216-entry table
 
     planes = planes_mod.compile_circuit(circuit_mod.build_full_circuit(n))
     counts = sim_mod.sample_counts(planes.probabilities(), shots, seed)

@@ -172,8 +172,22 @@ def dlmf_temme_coefficients(rows, cols):
     return [row[:cols] for row in d]
 
 
+def rounded_dlmf_temme_coefficients(rows, cols):
+    """The DLMF values, each rounded to 17 significant digits and then to a
+    double, as scipy's igam.h writes and its compiler reads them."""
+    digits = Context(prec=17)
+    return [
+        [float(digits.divide(Decimal(f.numerator), Decimal(f.denominator))) for f in row]
+        for row in dlmf_temme_coefficients(rows, cols)
+    ]
+
+
 def test_asymptotic_series_reads_only_rows_0_11_and_columns_0_17(monkeypatch):
-    """Near both edges and the middle of the regime, at the smallest and larger a."""
+    """On a table one row and one column longer than chisq.TEMME_D, the
+    series' own stopping rules end it inside rows 0-11 and columns 0-17, so the
+    cut table never ends a sum early. The grid has both edges and the middle
+    of the regime at the smallest a, which needs the most rows, and at a just
+    above 200, where the regime is widest and |eta| needs the most columns."""
     read = set()
 
     class Row(tuple):
@@ -182,34 +196,29 @@ def test_asymptotic_series_reads_only_rows_0_11_and_columns_0_17(monkeypatch):
             return tuple.__getitem__(self, n)
 
     rows = []
-    for k, values in enumerate(chisq.TEMME_D):
+    for k, values in enumerate(rounded_dlmf_temme_coefficients(13, 19)):
         rows.append(Row(values))
         rows[-1].k = k
-    monkeypatch.setattr(chisq, "TEMME_D", tuple(rows))
+    grid = []
     for a in (20 + 1e-9, 20.5, 50.0, 199.9, 200.5, 1e3, 1e6):
         width = 0.3 if a < 200 else 4.5 / math.sqrt(a)
-        for j in range(-50, 51):
-            chisq._asymptotic_series(a, a * (1 + width * j / 50 * (1 - 1e-12)))
+        grid += [(a, a * (1 + width * j / 50 * (1 - 1e-12))) for j in range(-50, 51)]
+    cut = [chisq._asymptotic_series(a, x) for a, x in grid]
+    monkeypatch.setattr(chisq, "TEMME_D", tuple(rows))
+    assert [chisq._asymptotic_series(a, x) for a, x in grid] == cut
     assert max(k for k, _ in read) == 11 and max(n for _, n in read) == 17
 
 
 def test_temme_coefficients_the_series_reads_are_the_dlmf_values():
-    """Over the whole asymptotic regime the series reads rows 0-11 and columns
-    0-17 of d; each is the DLMF value rounded to 17 significant digits, then to
-    a double, as scipy's igam.h writes and its compiler reads it."""
-    digits = Context(prec=17)
-    expected = [
-        [float(digits.divide(Decimal(f.numerator), Decimal(f.denominator))) for f in row]
-        for row in dlmf_temme_coefficients(12, 18)
-    ]
-    assert [list(row[:18]) for row in chisq.TEMME_D[:12]] == expected
+    """chisq.TEMME_D is rows 0-11 and columns 0-17 of d, each entry the DLMF
+    value rounded as scipy's igam.h has it."""
+    assert [list(row) for row in chisq.TEMME_D] == rounded_dlmf_temme_coefficients(12, 18)
 
 
 def test_temme_coefficients_start_with_the_dlmf_row():
     """Row 0 of d is -1/3, 1/12, -2/135, 1/864, 1/2835, -139/777600 (DLMF 8.12.12)."""
     head = [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135), Fraction(1, 864)]
     head += [Fraction(1, 2835), Fraction(-139, 777600)]
-    assert [len(row) for row in chisq.TEMME_D] == [25] * 25
     assert list(chisq.TEMME_D[0][:6]) == [float(f) for f in head]
 
 
