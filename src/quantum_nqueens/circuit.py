@@ -7,6 +7,13 @@ Register layout over Q_total = n^2 + (n-1) + n(n-1)/2 qubits:
 
 Stages: per-row W-state preparation, H-CZ...CZ-H column parity sandwiches,
 then Toffoli diagonal checks onto ancillas pre-flipped to |1>.
+
+A Circuit holds its gates as three columns (kinds, operand tuples, angles)
+that `_checked_gates` checks, a C-level pass per check, operand range
+included. `build_full_circuit` appends all three stages to one set of
+columns and checks them once, so building, `gate_census` and the QASM export
+make no Gate; `Circuit.gates`, the tuple of Gate that the simulator reads, is
+built on first access and kept.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ import math
 import numbers
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, NamedTuple
 
-from .board import board_size, diagonal_pairs
+from .board import board_size
 
 _ARITY = {"X": 1, "H": 1, "RY": 1, "CX": 2, "CRY": 2, "CZ": 2, "CCX": 3}  # _checked_gates needs <= 3
 _PARAMETRIC = {"RY", "CRY"}
@@ -78,24 +85,31 @@ class Gate(_GateFields):
         return self  # X, H, CX, CZ, CCX are self-inverse
 
 
-def _checked_gates(kinds, qubits, thetas) -> list[Gate]:
-    """`[Gate(*g) for g in zip(kinds, qubits, thetas, strict=True)]` for three
-    parallel sequences, one per field, with each of Gate's checks made as one
-    C-level pass over a whole column.
+def _checked_gates(kinds, qubits, thetas, q_total: int) -> tuple[list, list, list]:
+    """The columns of `[Gate(*g) for g in zip(kinds, qubits, thetas, strict=True)]`
+    for three parallel sequences, one per field, each operand also below
+    `q_total`, with each of the checks made as one C-level pass over a whole
+    column.
 
-    When every gate already has the form Gate gives it (an exact tuple of
-    exact ints, an exact float angle) and passes every check, each becomes a
-    Gate that shares its operand tuple. Otherwise the gates are built again
-    one by one, so a gate that needs converting (a list, a numpy int, a bool)
-    is converted as Gate converts it, and the first bad gate raises Gate's own
-    ValueError. Columns of unequal length raise zip's ValueError.
+    When the columns are lists, every gate already has the form Gate gives
+    it (an exact tuple of exact ints, an exact float angle) and every gate
+    passes every check, the three given lists are returned as they are,
+    operand tuples and all. Otherwise the
+    gates are built again one by one, so a gate that needs converting (a
+    list, a numpy int, a bool) is converted as Gate converts it, and the
+    first bad gate raises Gate's own ValueError; the converted gates'
+    columns are returned. Columns of unequal length raise zip's ValueError.
+    Only then is the range checked: an operand at or past q_total raises the
+    ValueError that names the first gate that has one.
     """
     def operands():
         return itertools.chain.from_iterable(qubits)
 
     try:
         passed = (
-            set(map(type, qubits)) <= {tuple}
+            type(kinds) is type(qubits) is type(thetas) is list
+            and len(kinds) == len(qubits) == len(thetas)
+            and set(map(type, qubits)) <= {tuple}
             and set(map(type, operands())) <= {int}
             # a kind's arity is never None, so this also rejects an unknown kind
             and all(map(operator.eq, map(len, qubits), map(_ARITY.get, kinds)))
@@ -109,10 +123,23 @@ def _checked_gates(kinds, qubits, thetas) -> list[Gate]:
         )
     except TypeError:  # an unhashable kind
         passed = False
-    gates = zip(kinds, qubits, thetas, strict=True)
     if not passed:
-        return [Gate(*g) for g in gates]
-    return list(map(tuple.__new__, itertools.repeat(Gate), gates))
+        gates = [Gate(*g) for g in zip(kinds, qubits, thetas, strict=True)]
+        kinds, qubits, thetas = _columns(gates)
+    if max(operands(), default=-1) >= q_total:
+        gate = next(Gate(*g) for g in zip(kinds, qubits, thetas) if max(g[1]) >= q_total)
+        raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
+    return kinds, qubits, thetas
+
+
+def _gate_rows(kinds, qubits, thetas) -> Iterable[Gate]:
+    """The gates of three checked columns, each a Gate that shares its operand tuple."""
+    return map(tuple.__new__, itertools.repeat(Gate), zip(kinds, qubits, thetas))
+
+
+def _columns(gates) -> tuple[list, list, list]:
+    """The kinds, qubits and thetas of a sequence of gates, one list each."""
+    return tuple(list(map(operator.itemgetter(i), gates)) for i in range(3))
 
 
 @dataclass(frozen=True)
@@ -153,23 +180,74 @@ class RegisterLayout:
         return self.n * self.n + self.n - 2 + k
 
 
-@dataclass(frozen=True)
 class Circuit:
-    layout: RegisterLayout
-    gates: tuple[Gate, ...]
+    """A register layout and its gates in order, held as three checked columns:
+    the kinds, the operand tuples and the angles (None for a gate without).
 
-    def __post_init__(self) -> None:
-        # A tuple: a caller's list could change after the checks below.
-        object.__setattr__(self, "gates", tuple(self.gates))
-        q_total = self.layout.q_total
-        # C-level passes over the entries and all their operands; a generator names an offender.
-        if not all(map(isinstance, self.gates, itertools.repeat(Gate))):
-            entry = next(g for g in self.gates if not isinstance(g, Gate))
+    `Circuit(layout, gates)` checks that every entry is a Gate with every
+    operand inside the layout, and keeps the gates. The builders and the
+    parser make a circuit from columns that `_checked_gates` has already
+    checked, and no Gate exists until `gates` is first read; it is then
+    kept. `len(circuit)` is the gate count. Circuits are equal when their
+    layouts and columns are, which is when their gates are.
+    """
+
+    __slots__ = ("layout", "_kinds", "_qubits", "_thetas", "_gates")
+
+    def __init__(self, layout: RegisterLayout, gates: Iterable[Gate]) -> None:
+        gates = tuple(gates)  # a caller's list could change after the checks
+        if not all(map(isinstance, gates, itertools.repeat(Gate))):
+            entry = next(g for g in gates if not isinstance(g, Gate))
             raise ValueError(f"circuit entry {entry!r} is not a Gate")
-        operands = itertools.chain.from_iterable(map(operator.attrgetter("qubits"), self.gates))
-        if max(operands, default=-1) >= q_total:
-            gate = next(g for g in self.gates if max(g.qubits) >= q_total)
-            raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
+        self._set(layout, *_checked_gates(*_columns(gates), layout.q_total), gates)
+
+    @classmethod
+    def _from_columns(cls, layout: RegisterLayout, kinds: list, qubits: list, thetas: list):
+        """The circuit of columns that `_checked_gates` returned for layout.q_total,
+        taken as they are: no caller may change them afterwards."""
+        self = object.__new__(cls)
+        self._set(layout, kinds, qubits, thetas, None)
+        return self
+
+    def _set(self, *values) -> None:
+        """Set the layout, the three columns and the gates, or None, in slot order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates, built from the columns on first access and then kept."""
+        if self._gates is None:
+            with gc_paused():
+                gates = tuple(_gate_rows(self._kinds, self._qubits, self._thetas))
+            object.__setattr__(self, "_gates", gates)
+        return self._gates
+
+    def __len__(self) -> int:
+        return len(self._kinds)
+
+    def _key(self) -> tuple:
+        return self.layout, self._kinds, self._qubits, self._thetas
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.layout, tuple(self._kinds), tuple(self._qubits), tuple(self._thetas)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(layout={self.layout!r}, gates={self.gates!r})"
+
+    def __reduce__(self):
+        return type(self), (self.layout, self.gates)
 
 
 @contextlib.contextmanager
@@ -196,6 +274,13 @@ def layout(n: int) -> RegisterLayout:
     return RegisterLayout(n)
 
 
+def _built_gates(n: int, add, *args) -> list[Gate]:
+    """The checked gates that `add(columns, n, *args)` appends to three empty columns."""
+    columns = [], [], []
+    add(columns, n, *args)
+    return list(_gate_rows(*_checked_gates(*columns, layout(n).q_total)))
+
+
 def build_w_prep(n: int, row: int) -> list[Gate]:
     """Map the n qubits of one row block from |0...0> to the equal one-hot
     superposition, via a linear controlled-rotation cascade.
@@ -204,16 +289,22 @@ def build_w_prep(n: int, row: int) -> list[Gate]:
     CRY(2*arccos(sqrt(1/(n-i+1)))) from qubit i-1 onto qubit i, followed by
     CX from qubit i back onto qubit i-1.
     """
+    return _built_gates(n, _add_w_prep, row)
+
+
+def _add_w_prep(columns: tuple[list, list, list], n: int, row: int) -> None:
     if not 0 <= row < n:
         raise ValueError(f"row {row} out of range for n={n}")
+    kinds, qubits, thetas = columns
     base = row * n
-    kinds, qubits, thetas = ["X"], [(base,)], [None]
+    kinds.append("X")
+    qubits.append((base,))
+    thetas.append(None)
     for i in range(1, n):
         theta = 2.0 * math.acos(math.sqrt(1.0 / (n - i + 1)))
         kinds += ("CRY", "CX")
         qubits += ((base + i - 1, base + i), (base + i, base + i - 1))
         thetas += (theta, None)
-    return _checked_gates(kinds, qubits, thetas)
 
 
 def build_column_checks(n: int) -> list[Gate]:
@@ -223,15 +314,19 @@ def build_column_checks(n: int) -> list[Gate]:
     in every row (ascending), then H again. The ancilla ends in |1> iff the
     column sum is odd. The last column needs no check.
     """
+    return _built_gates(n, _add_column_checks)
+
+
+def _add_column_checks(columns: tuple[list, list, list], n: int) -> None:
     lay = layout(n)
-    qubits = []
+    kinds, qubits, thetas = columns
     for c in range(n - 1):
         anc = lay.col_anc_qubit(c)
         qubits.append((anc,))
         qubits += [(anc, lay.system_qubit(r, c)) for r in range(n)]
         qubits.append((anc,))
-    kinds = (["H"] + ["CZ"] * n + ["H"]) * (n - 1)
-    return _checked_gates(kinds, qubits, [None] * len(kinds))
+    kinds += (["H"] + ["CZ"] * n + ["H"]) * (n - 1)
+    thetas.extend(itertools.repeat(None, len(qubits) - len(thetas)))
 
 
 def ancilla_index(i: int, j: int, n: int) -> int:
@@ -251,33 +346,53 @@ def build_diagonal_checks(n: int) -> list[Gate]:
     system qubits, target the ancilla assigned to the row pair. An ancilla
     ends |0> iff its row pair's queens share a diagonal.
 
-    The Toffolis' operand tuples hold the ints of two tables, one per cell and
-    one per row pair, so at most n^2 + n(n-1)/2 int objects serve them all.
+    The Toffolis' operand tuples hold the ints of one table of cells and one
+    target per row pair, so at most n^2 + n(n-1)/2 int objects serve them all.
     """
+    return _built_gates(n, _add_diagonal_checks)
+
+
+def _add_diagonal_checks(columns: tuple[list, list, list], n: int) -> None:
     lay = layout(n)
     m = lay.n_diag_anc
     system = [[lay.system_qubit(r, c) for c in range(n)] for r in range(n)]
-    anc = {
-        (i, j): lay.diag_anc_qubit(ancilla_index(i + 1, j + 1, n))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    qubits = [(lay.diag_anc_qubit(k),) for k in range(1, m + 1)]
-    qubits += [(system[i][x], system[j][y], anc[i, j]) for (i, x), (j, y) in diagonal_pairs(n)]
-    kinds = ["X"] * m + ["CCX"] * (len(qubits) - m)
-    return _checked_gates(kinds, qubits, [None] * len(qubits))
+
+    def toffolis():
+        """Each diagonal pair's operands in board.diagonal_pairs' order, from a
+        generator: a list of them all (949,200 at n=113), or of the pairs,
+        would sit beside the operand column as a second copy. The only
+        partners of (i, x) at row distance d are y = x - d and y = x + d."""
+        for i in range(n):
+            for j in range(i + 1, n):
+                d, row_i, row_j = j - i, system[i], system[j]
+                target = lay.diag_anc_qubit(ancilla_index(i + 1, j + 1, n))
+                for x in range(n):
+                    if x >= d:
+                        yield row_i[x], row_j[x - d], target
+                    if x + d < n:
+                        yield row_i[x], row_j[x + d], target
+
+    kinds, qubits, thetas = columns
+    kinds.extend(itertools.repeat("X", m))
+    qubits += [(lay.diag_anc_qubit(k),) for k in range(1, m + 1)]
+    qubits.extend(toffolis())
+    kinds.extend(itertools.repeat("CCX", len(qubits) - len(kinds)))
+    thetas.extend(itertools.repeat(None, len(qubits) - len(thetas)))
 
 
 @gc_paused()
 def build_full_circuit(n: int) -> Circuit:
     """W-state preparation for every row, then column checks, then diagonal
-    checks, built with the cyclic collector paused."""
-    gates: list[Gate] = []
+    checks, appended to one set of columns and checked once, with the cyclic
+    collector paused."""
+    lay = layout(n)
+    n = lay.n
+    columns = [], [], []
     for row in range(n):
-        gates.extend(build_w_prep(n, row))
-    gates.extend(build_column_checks(n))
-    gates.extend(build_diagonal_checks(n))
-    return Circuit(layout=layout(n), gates=tuple(gates))
+        _add_w_prep(columns, n, row)
+    _add_column_checks(columns, n)
+    _add_diagonal_checks(columns, n)
+    return Circuit._from_columns(lay, *_checked_gates(*columns, lay.q_total))
 
 
 @dataclass(frozen=True)
@@ -304,7 +419,7 @@ def gate_census(circuit: Circuit) -> GateCensus:
     H, so W-prep is every gate before the first H (all of them at n=1, which
     has no column check).
     """
-    kinds = list(map(operator.attrgetter("kind"), circuit.gates))
+    kinds = circuit._kinds
     counts = Counter(kinds)
     return GateCensus(
         counts=dict(counts),

@@ -204,13 +204,14 @@ def cmd_export_qasm(args: argparse.Namespace, out) -> int:
         raise ResourceCapError(
             f"n={args.n} predicts {gates} gates, over the export cap {BUILD_GATE_CAP}"
         )
-    doc = qasm.export_qasm(circuit.build_full_circuit(args.n))
+    built = circuit.build_full_circuit(args.n)
+    # writelines writes each chunk as the generator makes it, not the whole text
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(doc.text)
-        print(f"wrote {args.out} ({doc.gate_line_count} gate statements)", file=out)
+            fh.writelines(qasm.export_qasm_chunks(built))
+        print(f"wrote {args.out} ({qasm.gate_line_count(built)} gate statements)", file=out)
     else:
-        out.write(doc.text)
+        out.writelines(qasm.export_qasm_chunks(built))
     return EXIT_OK
 
 

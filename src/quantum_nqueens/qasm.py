@@ -3,7 +3,9 @@
 Exports use a single flat register `q` of Q_total qubits with a comment block
 documenting the layout ranges. CRY is not in the baseline qelib1 gate set, so
 it is emitted as ry(theta/2) t; cx c,t; ry(-theta/2) t; cx c,t, which is
-unitarily equal to the controlled rotation.
+unitarily equal to the controlled rotation. export_qasm_chunks reads the
+circuit's columns and yields the text a chunk of whole lines at a time, so a
+writer holds one chunk, not the whole text; export_qasm joins the chunks.
 
 The parser takes each line by one of two routes. Gate lines written exactly
 as export_qasm writes them are matched a chunk of text at a time and, after
@@ -11,7 +13,7 @@ the qreg, converted and checked a run at a time. Every other line takes the
 per-line rules, the one owner of the full grammar and the one place that
 raises a parse error; a run that fails its checks is handed to them too.
 Either way every gate passes Gate's checks, and the first bad line is the
-one reported.
+one reported. The gates go straight into the parsed circuit's columns.
 """
 
 from __future__ import annotations
@@ -38,44 +40,75 @@ class QasmDocument:
     gate_line_count: int
 
 
-# One %-template per kind over (angle, *qubits); %r prints the angle as repr does.
-_STATEMENT = {"X": "x q[%d];", "H": "h q[%d];", "RY": "ry(%r) q[%d];", "CX": "cx q[%d],q[%d];",
-              "CZ": "cz q[%d],q[%d];", "CCX": "ccx q[%d],q[%d],q[%d];"}
+# One %-template per kind over (angle, *qubits), each a whole line; %r prints
+# the angle as repr does.
+_STATEMENT = {"X": "x q[%d];\n", "H": "h q[%d];\n", "RY": "ry(%r) q[%d];\n",
+              "CX": "cx q[%d],q[%d];\n", "CZ": "cz q[%d],q[%d];\n",
+              "CCX": "ccx q[%d],q[%d],q[%d];\n"}
+# Gates, or measures, per chunk of the streamed export: at most 4 lines a gate
+# (a CRY), so a few hundred KB of text.
+_EXPORT_CHUNK = 1 << 13
 
 
 def export_qasm(circuit: Circuit) -> QasmDocument:
     """Serialize a circuit, in canonical gate order, to OpenQASM 2.0."""
+    return QasmDocument(
+        text="".join(export_qasm_chunks(circuit)), gate_line_count=gate_line_count(circuit)
+    )
+
+
+def gate_line_count(circuit: Circuit) -> int:
+    """Gate statements in the export of circuit: one per gate, four per CRY."""
+    return len(circuit) + 3 * circuit._kinds.count("CRY")
+
+
+def export_qasm_chunks(circuit: Circuit) -> Iterator[str]:
+    """The text of export_qasm(circuit), yielded a chunk of whole lines at a
+    time: the header, then the gates and the measures _EXPORT_CHUNK at a time."""
     lay = circuit.layout
     n = lay.n
-    lines = [
+    header = [
         "OPENQASM 2.0;",
         'include "qelib1.inc";',
         f"// n = {n}",
         f"// q[0..{lay.n_system - 1}]: system qubits, cell (r, c) at r*{n}+c",
     ]
     if lay.n_col_anc:
-        lines.append(
+        header.append(
             f"// q[{lay.n_system}..{lay.n_system + lay.n_col_anc - 1}]: column ancillas"
         )
     if lay.n_diag_anc:
-        lines.append(
+        header.append(
             f"// q[{lay.n_system + lay.n_col_anc}..{lay.q_total - 1}]: diagonal ancillas"
         )
-    lines.append(f"qreg q[{lay.q_total}];")
-    lines.append(f"creg c[{lay.q_total}];")
+    header += [f"qreg q[{lay.q_total}];", f"creg c[{lay.q_total}];", ""]
+    yield "\n".join(header)
 
-    header = len(lines)
-    for kind, qubits, theta in circuit.gates:
+    kinds, qubits, thetas = circuit._kinds, circuit._qubits, circuit._thetas
+    for start in range(0, len(kinds), _EXPORT_CHUNK):
+        end = start + _EXPORT_CHUNK
+        yield _gate_text(kinds[start:end], qubits[start:end], thetas[start:end])
+    for start in range(0, lay.q_total, _EXPORT_CHUNK):
+        end = min(start + _EXPORT_CHUNK, lay.q_total)
+        yield "".join([f"measure q[{q}] -> c[{q}];\n" for q in range(start, end)])
+
+
+def _gate_text(kinds: list, qubits: list, thetas: list) -> str:
+    """The export lines of a run of gates."""
+    if thetas.count(None) == len(thetas):  # no angle: one format over all the operands
+        return "".join(map(_STATEMENT.__getitem__, kinds)) % tuple(
+            itertools.chain.from_iterable(qubits)
+        )
+    lines = []
+    for kind, qs, theta in zip(kinds, qubits, thetas):
         if theta is None:
-            lines.append(_STATEMENT[kind] % qubits)
+            lines.append(_STATEMENT[kind] % qs)
         elif kind == "RY":
-            lines.append(_STATEMENT["RY"] % (theta, *qubits))
+            lines.append(_STATEMENT["RY"] % (theta, *qs))
         else:  # CRY as ry(theta/2) t; cx c,t; ry(-theta/2) t; cx c,t
-            ry, cx = _STATEMENT["RY"], _STATEMENT["CX"] % qubits
-            lines += (ry % (theta / 2.0, qubits[1]), cx, ry % (-theta / 2.0, qubits[1]), cx)
-    gate_count = len(lines) - header
-    lines += [f"measure q[{q}] -> c[{q}];" for q in range(lay.q_total)]
-    return QasmDocument(text="\n".join(lines) + "\n", gate_line_count=gate_count)
+            ry, cx = _STATEMENT["RY"], _STATEMENT["CX"] % qs
+            lines += (ry % (theta / 2.0, qs[1]), cx, ry % (-theta / 2.0, qs[1]), cx)
+    return "".join(lines)
 
 
 # (?a) makes \d and \w ASCII-only, so int() never reads another script's digits.
@@ -151,6 +184,16 @@ def _line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
         start = end
 
 
+class _Operands(dict):
+    """The int of each operand's digits, made on the first lookup and then
+    kept, so the parsed operand tuples share one int per qubit, as the
+    builders' do, and digits seen before are not converted again."""
+
+    def __missing__(self, digits: str) -> int:
+        self[digits] = value = int(digits)
+        return value
+
+
 @gc_paused()
 def parse_qasm_subset(text: str) -> Circuit:
     """Parse text produced by export_qasm back into a Circuit.
@@ -162,16 +205,17 @@ def parse_qasm_subset(text: str) -> Circuit:
 
     Lines take one of two routes. Each chunk's lines are matched against
     _CANONICAL_GATE_RE in one pass; after the qreg, a run of consecutive
-    gate lines written as export_qasm writes them is converted as a whole,
-    its operands range-checked with one max and its gates checked by the
-    builders' list-wide Gate constructor. Every other line, and a run that
-    fails a check, goes through the per-line rules, the one place that
-    knows the whole grammar and raises an error. Every gate before that
+    gate lines written as export_qasm writes them is converted as a whole
+    into columns and checked by the builders' column checks, operand range
+    included, before it extends the circuit's columns. Every other line, and
+    a run that fails a check, goes through the per-line rules, the one place
+    that knows the whole grammar and raises an error. Every gate before that
     line has been checked by then, so the first bad line is the one reported.
     """
     lay: RegisterLayout | None = None
     creg: tuple[str, int] | None = None
-    gates: list[Gate] = []
+    columns: tuple[list, list, list] = ([], [], [])  # the circuit's kinds, qubits and thetas
+    qubit_of = _Operands()
 
     def add_run(run: list[re.Match]) -> bool:
         """Add the gates of a run of canonical gate lines, its match groups
@@ -179,17 +223,18 @@ def parse_qasm_subset(text: str) -> Circuit:
         is past the qreg or a gate fails a check."""
         names, angles, q0, q1, q2 = zip(*map(re.Match.groups, run))
         qubits = [
-            (int(a), int(b), int(c)) if c else (int(a), int(b)) if b else (int(a),)
+            (qubit_of[a], qubit_of[b], qubit_of[c]) if c
+            else (qubit_of[a], qubit_of[b]) if b else (qubit_of[a],)
             for a, b, c in zip(q0, q1, q2)
         ]
-        if max(itertools.chain.from_iterable(qubits)) >= lay.q_total:
-            return False
         kinds = list(map(_PARSE_KINDS.__getitem__, names))
         thetas = [None if angle is None else float(angle) for angle in angles]
         try:
-            gates.extend(_checked_gates(kinds, qubits, thetas))
+            checked = _checked_gates(kinds, qubits, thetas, lay.q_total)
         except ValueError:  # the per-line rules word the error of the first bad line
             return False
+        for column, values in zip(columns, checked):
+            column += values
         return True
 
     def parse_line(lineno: int, raw: str) -> None:
@@ -240,7 +285,9 @@ def parse_qasm_subset(text: str) -> Circuit:
                 if _int(m["bit"], message) >= width:
                     raise ValueError(message)
                 return
-            gates.append(Gate(kind, qubits, None if m["arg"] is None else _angle(m["arg"])))
+            gate = Gate(kind, qubits, None if m["arg"] is None else _angle(m["arg"]))
+            for column, value in zip(columns, gate):
+                column.append(value)
         except ValueError as exc:  # every rule above raises a plain ValueError
             raise QasmParseError(lineno, str(exc)) from None
 
@@ -260,4 +307,4 @@ def parse_qasm_subset(text: str) -> Circuit:
                 i += 1
     if lay is None:
         raise QasmParseError(1, "missing qreg declaration")
-    return Circuit(layout=lay, gates=tuple(gates))
+    return Circuit._from_columns(lay, *columns)

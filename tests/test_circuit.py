@@ -1,15 +1,21 @@
 import collections
 import copy
 import gc
+import io
+import itertools
 import math
+import operator
 import pickle
 import random
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from quantum_nqueens import circuit, qasm, sim
+from quantum_nqueens import circuit, cli, qasm, sim
 from quantum_nqueens.board import diagonal_pairs
 from quantum_nqueens.circuit import (
     Circuit,
@@ -31,6 +37,9 @@ from quantum_nqueens.circuit import (
     qubit_total,
     w_prep_gate_count,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import dense_circuit  # noqa: E402
 
 
 class TestLayout:
@@ -192,8 +201,20 @@ def _outcome(build, *args):
         return type(exc), str(exc)
 
 
-def _columns(*gates):
-    """Gates transposed into the kinds, qubits and thetas columns of `_checked_gates`."""
+def _columns(*gates, q_total=32):
+    """Gates transposed into the kinds, qubits and thetas columns of
+    `_checked_gates`, followed by its q_total."""
+    return (*(tuple(map(list, zip(*gates))) or ([], [], [])), q_total)
+
+
+def _checked_by_gate(kinds, qubits, thetas, q_total):
+    """What `_checked_gates` returns, spelled out: `Gate` applied gate by gate
+    to the strictly zipped columns, then every operand checked against the
+    register as `Circuit` checks it, and the gates' columns."""
+    gates = [Gate(*g) for g in zip(kinds, qubits, thetas, strict=True)]
+    for gate in gates:
+        if max(gate.qubits) >= q_total:
+            raise ValueError(f"gate {gate} exceeds layout of {q_total} qubits")
     return tuple(map(list, zip(*gates))) or ([], [], [])
 
 
@@ -244,11 +265,15 @@ def _gate_fields(draw):
 
 
 class TestCheckedGates:
-    """`circuit._checked_gates(kinds, qubits, thetas)` is `Gate` applied gate by
-    gate to the strictly zipped columns: the same gates, or the same error for
-    the same first bad gate."""
+    """`circuit._checked_gates(kinds, qubits, thetas, q_total)` gives the
+    columns of `Gate` applied gate by gate to the strictly zipped columns, each
+    operand then below q_total: the same columns, or the same error for the
+    same first bad gate."""
 
-    @given(st.lists(_gate_fields(), max_size=12).map(lambda gates: _columns(*gates)))
+    @given(
+        st.tuples(st.lists(_gate_fields(), max_size=12), st.sampled_from([32, 32, 32, 1, 4, 17]))
+        .map(lambda drawn: _columns(*drawn[0], q_total=drawn[1]))
+    )
     @example(_columns(("RY", (0,), 10**400)))
     @example(_columns(("X", (0,), None), ("CX", [True, np.int64(3)], None), ("RY", (1,), np.float64(1))))
     @example(_columns(("X", (0,), None), ("H", (1,), 0.5), ("SWAP", (0, 1), None)))
@@ -256,35 +281,41 @@ class TestCheckedGates:
     @example(_columns(("X", (0,), None), ("CX", (True, 3), None)))
     @example(_columns(("X", (np.int64(2),), None)))
     @example(_columns(("CX", _Pair(0, 1), None)))  # a tuple subclass becomes a plain tuple
-    @example((["X", "H"], [(0,), (1,)], [None]))  # columns of unequal length: zip's ValueError
+    @example((["X", "H"], [(0,), (1,)], [None], 32))  # columns of unequal length: zip's ValueError
     @example(_columns(("CCX", (0, 1, 2), None), ("CCX", (3, 4, 4), None)))
     @example(_columns(("CCX", (0, 1, 2), None), ("CCX", (3, 4, 3), None)))
     @example(_columns(("CCX", (0, 1, 2), None), ("CCX", (3, 3, 4), None)))
-    def test_matches_gate_by_gate(self, columns):
-        got = _outcome(circuit._checked_gates, *columns)
-        expected = _outcome(lambda *cs: [Gate(*g) for g in zip(*cs, strict=True)], *columns)
+    @example(_columns(("X", (0,), None), ("CX", (1, 5), None), ("X", (9,), None), q_total=5))
+    @example(_columns(("X", (7,), None), ("H", (1,), 0.5), q_total=5))  # Gate's error comes first
+    @example(_columns(("X", (np.int64(5),), None), q_total=5))  # converted, then out of range
+    def test_matches_gate_by_gate(self, case):
+        got = _outcome(circuit._checked_gates, *case)
+        expected = _outcome(_checked_by_gate, *case)
         assert got == expected
-        if isinstance(got, list):
-            for gate in got:
-                assert type(gate) is Gate
-                assert type(gate.qubits) is tuple
-                assert all(type(q) is int for q in gate.qubits)
-                assert type(gate.theta) is (float if gate.kind in ("RY", "CRY") else type(None))
+        if isinstance(expected, tuple) and not isinstance(expected[0], type):
+            kinds, qubits, thetas = got
+            assert type(kinds) is type(qubits) is type(thetas) is list
+            assert all(type(q) is tuple for q in qubits)
+            assert all(type(q) is int for q in itertools.chain.from_iterable(qubits))
+            angle_types = [float if kind in ("RY", "CRY") else type(None) for kind in kinds]
+            assert list(map(type, thetas)) == angle_types
 
     def test_no_kind_has_more_than_three_operands(self):
         # the distinctness pass counts only a gate's first and last operand
         assert max(circuit._ARITY.values()) <= 3
 
     def test_checked_gates_share_their_operand_tuples(self):
-        kinds, qubits, thetas = ["CCX", "RY", "X"], [(0, 1, 2), (3,), (4,)], [None, 0.5, None]
-        gates = circuit._checked_gates(kinds, qubits, thetas)
-        assert gates == [Gate(*g) for g in zip(kinds, qubits, thetas)]
-        assert all(g.qubits is q for g, q in zip(gates, qubits))
+        # gates in the form Gate gives them come back as the very lists given
+        columns = ["CCX", "RY", "X"], [(0, 1, 2), (3,), (4,)], [None, 0.5, None]
+        qubits = list(columns[1])
+        checked = circuit._checked_gates(*columns, 5)
+        assert all(map(operator.is_, checked, columns))
+        assert all(map(operator.is_, checked[1], qubits))
 
     @pytest.mark.parametrize("theta", [10**400, -(10**400), math.inf, math.nan])
     def test_angle_past_the_float_range_is_a_value_error(self, theta):
         with pytest.raises(ValueError) as err:
-            circuit._checked_gates(["X", "CRY"], [(0,), (0, 1)], [None, theta])
+            circuit._checked_gates(["X", "CRY"], [(0,), (0, 1)], [None, theta], 2)
         assert str(err.value) == "CRY requires a finite angle"
 
     @pytest.mark.parametrize(
@@ -322,6 +353,104 @@ class TestCircuit:
     def test_is_hashable(self):
         c = Circuit(layout(2), [Gate("X", (0,)), Gate("RY", (1,), 0.5)])
         assert hash(c) == hash(Circuit(layout(2), (Gate("X", (0,)), Gate("RY", (1,), 0.5))))
+
+    def test_is_frozen(self):
+        c = Circuit(layout(1), [Gate("X", (0,))])
+        with pytest.raises(AttributeError):
+            c.layout = layout(2)
+        with pytest.raises(AttributeError):
+            del c.layout
+        assert c.layout == layout(1)
+
+
+def _parsed_n6():
+    """The n=6 export parsed back, and the gates it was written from, each CRY
+    as the ry, cx, ry, cx it is written as."""
+    built = build_full_circuit(6)
+    written = []
+    for kind, qubits, theta in built.gates:
+        if kind == "CRY":
+            tgt = (qubits[1],)
+            written += [("RY", tgt, theta / 2.0), ("CX", qubits, None),
+                        ("RY", tgt, -theta / 2.0), ("CX", qubits, None)]
+        else:
+            written.append((kind, qubits, theta))
+    return qasm.parse_qasm_subset(qasm.export_qasm(built).text), built.layout, written
+
+
+def _dense():
+    """The benchmark's seeded dense circuit, which it makes gate by gate, made
+    from its checked columns instead, and its gates."""
+    dense = dense_circuit(1)
+    lay = dense.layout
+    checked = circuit._checked_gates(*circuit._columns(dense.gates), lay.q_total)
+    return Circuit._from_columns(lay, *checked), lay, dense.gates
+
+
+class TestColumns:
+    """A circuit made from checked columns (the builders, the parser) equals,
+    hashes like and gives the same gates as `Circuit(layout, gates)`."""
+
+    @pytest.mark.parametrize(
+        "made",
+        [
+            *(pytest.param(
+                lambda n=n: (
+                    build_full_circuit(n),
+                    layout(n),
+                    [g for row in range(n) for g in build_w_prep(n, row)]
+                    + build_column_checks(n) + build_diagonal_checks(n),
+                ),
+                id=f"built-{n}") for n in range(1, 9)),
+            pytest.param(_parsed_n6, id="parsed-6"),
+            pytest.param(_dense, id="dense"),
+        ],
+    )
+    def test_columns_and_gates_make_the_same_circuit(self, made):
+        columns_made, lay, gates = made()
+        assert columns_made._gates is None  # no Gate until `gates` is read
+        given = [Gate(*g) for g in gates]
+        gates_made = Circuit(lay, given)
+        assert all(map(operator.is_, gates_made.gates, given))  # the given gates are kept
+        assert columns_made == gates_made and gates_made == columns_made
+        assert hash(columns_made) == hash(gates_made)
+        assert columns_made.gates == gates_made.gates == tuple(gates)
+        assert all(type(g) is Gate for g in columns_made.gates)
+        assert columns_made.gates is columns_made.gates  # built once, then kept
+        assert len(columns_made) == len(gates_made) == len(gates)
+        assert repr(columns_made) == repr(gates_made)
+        assert pickle.loads(pickle.dumps(columns_made)) == columns_made
+        assert copy.deepcopy(columns_made) == columns_made
+
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize(
+        "change",
+        [lambda g: Gate("X", (g.qubits[0] + 1,)), lambda g: Gate("RY", g.qubits[-1:], 0.25)],
+        ids=["operand", "kind-and-angle"],
+    )
+    def test_a_changed_gate_makes_an_unequal_circuit(self, at, change):
+        built = build_full_circuit(4)
+        gates = list(built.gates)
+        gates[at] = change(gates[at])
+        assert built != Circuit(built.layout, gates)
+        assert built != Circuit(built.layout, built.gates[:-1])
+        assert built != build_full_circuit(5) and built != built.gates
+
+    def test_counts_export_and_parse_build_no_gate(self):
+        def refused(*args, **kwargs):
+            raise AssertionError("a Gate was built")
+
+        with mock.patch.object(Gate, "__new__", refused), \
+                mock.patch.object(circuit, "_gate_rows", refused):
+            built = build_full_circuit(32)
+            assert gate_census(built) == closed_form_census(32)
+            doc = qasm.export_qasm(built)
+            parsed = qasm.parse_qasm_subset(doc.text)
+            for argv in (["counts", "32"], ["export-qasm", "32"]):
+                assert cli.main(argv, out=io.StringIO()) == 0
+        assert len(parsed) == doc.gate_line_count
+        assert built._gates is None and parsed._gates is None
+        assert len(built.gates) == len(built)
 
 
 def block_state(n, row):
@@ -514,11 +643,12 @@ class TestCollectorPause:
 
     def test_build_restores_the_collector(self, collector, monkeypatch):
         seen = []
-        build = circuit.build_diagonal_checks
+        add = circuit._add_diagonal_checks
         monkeypatch.setattr(
-            circuit, "build_diagonal_checks", lambda n: seen.append(gc.isenabled()) or build(n)
+            circuit, "_add_diagonal_checks",
+            lambda columns, n: seen.append(gc.isenabled()) or add(columns, n),
         )
-        assert len(build_full_circuit(5).gates) == sum(closed_form_census(5).counts.values())
+        assert len(build_full_circuit(5)) == sum(closed_form_census(5).counts.values())
         assert seen == [False]
         assert gc.isenabled() == collector
 
@@ -530,13 +660,13 @@ class TestCollectorPause:
     def test_parse_restores_the_collector(self, collector, monkeypatch):
         seen = []  # (collector on, batch size) at each list-wide check of a gate batch
 
-        def checked_gates(kinds, qubits, thetas):
+        def checked_gates(kinds, qubits, thetas, q_total):
             seen.append((gc.isenabled(), len(kinds)))
-            return circuit._checked_gates(kinds, qubits, thetas)
+            return circuit._checked_gates(kinds, qubits, thetas, q_total)
 
         monkeypatch.setattr(qasm, "_checked_gates", checked_gates)
         text = qasm.export_qasm(build_full_circuit(3)).text
-        assert len(qasm.parse_qasm_subset(text).gates) == sum(size for _, size in seen) > 0
+        assert len(qasm.parse_qasm_subset(text)) == sum(size for _, size in seen) > 0
         assert not any(enabled for enabled, _ in seen)
         assert gc.isenabled() == collector
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quantum_nqueens import analysis, circuit, cli, sim
+from quantum_nqueens import analysis, circuit, cli, qasm, sim
 from quantum_nqueens.analysis import OutcomeRecord, encode
 from quantum_nqueens.qasm import parse_qasm_subset
 
@@ -221,12 +221,14 @@ class TestCounts:
     @pytest.fixture
     def padded_w_prep(self, monkeypatch):
         """Append one X to every W-prep row, so only the W-prep count disagrees."""
-        build = circuit.build_w_prep
+        add = circuit._add_w_prep
 
-        def padded(n, row):
-            return build(n, row) + [circuit.Gate("X", (row * n,))]
+        def padded(columns, n, row):
+            add(columns, n, row)
+            for column, value in zip(columns, circuit.Gate("X", (row * n,))):
+                column.append(value)
 
-        monkeypatch.setattr(circuit, "build_w_prep", padded)
+        monkeypatch.setattr(circuit, "_add_w_prep", padded)
 
     def test_mismatch_exits_1_in_text(self, padded_w_prep):
         code, text = invoke(["counts", "4"])
@@ -490,6 +492,30 @@ class TestExportQasm:
         )
         assert (result.returncode, result.stdout) == (0, f"after {cli.EXIT_IO}\n")
         assert "cannot write" in result.stderr
+
+    def test_stdout_and_file_get_the_same_bytes(self, tmp_path):
+        path = tmp_path / "nq5.qasm"
+        code, text = invoke(["export-qasm", "5"])
+        file_code, message = invoke(["export-qasm", "5", "-o", str(path)])
+        assert code == file_code == 0
+        assert path.read_bytes() == text.encode("utf-8")
+        assert text == (GOLDEN / "export-qasm_5.out").read_text()
+        count = qasm.export_qasm(circuit.build_full_circuit(5)).gate_line_count
+        other = ("OPENQASM", "include", "//", "qreg", "creg", "measure")
+        assert count == sum(not line.startswith(other) for line in text.splitlines())
+        assert message == f"wrote {path} ({count} gate statements)\n"
+
+    def test_stdout_is_written_a_chunk_at_a_time(self):
+        writes = []
+
+        class Recorder(io.TextIOBase):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        assert cli.main(["export-qasm", "32"], out=Recorder()) == 0
+        assert len(writes) > 1
+        assert "".join(writes) == qasm.export_qasm(circuit.build_full_circuit(32)).text
 
     def test_over_the_gate_cap_exits_3(self, no_build, capsys):
         code, text = invoke(["export-qasm", "1000"])

@@ -407,14 +407,40 @@ class TestChunkedLines:
         text = export_qasm(build_full_circuit(19)).text
         sizes, checked_gates = [], qasm._checked_gates
 
-        def recording(kinds, qubits, thetas):
+        def recording(kinds, qubits, thetas, q_total):
             sizes.append(len(kinds))
-            return checked_gates(kinds, qubits, thetas)
+            return checked_gates(kinds, qubits, thetas, q_total)
 
         with mock.patch.object(qasm, "_checked_gates", recording):
             parsed = parse_qasm_subset(text)
         assert sum(sizes) == len(parsed.gates)
         assert max(sizes) <= max(len(lines) for _, lines in qasm._line_chunks(text))
+
+
+class TestStreamedExport:
+    """export_qasm_chunks yields the export a chunk of whole lines at a time,
+    and the chunks join to the same text whatever the chunk size."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None], ids=["1", "2", "7", "default"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_chunks_join_to_the_export(self, n, chunk):
+        built = build_full_circuit(n)
+        text = export_qasm(built).text
+        size = chunk or qasm._EXPORT_CHUNK
+        with mock.patch.object(qasm, "_EXPORT_CHUNK", size):
+            chunks = list(qasm.export_qasm_chunks(built))
+            assert export_qasm(built).text == text
+        assert "".join(chunks) == text
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        # the header, then the gates and the measures a chunk of `size` at a time
+        q_total = built.layout.q_total
+        assert len(chunks) == 1 + -(-len(built) // size) + -(-q_total // size)
+
+    def test_gate_line_count_is_read_from_the_kinds(self):
+        built = build_full_circuit(6)
+        text = export_qasm(built).text
+        gate_lines = [line for line in text.splitlines() if line.startswith(_GATE_NAMES)]
+        assert qasm.gate_line_count(built) == export_qasm(built).gate_line_count == len(gate_lines)
 
 
 class TestBatchedErrors:
@@ -504,6 +530,7 @@ _MUTATIONS = {
     "trailing space": lambda line, ops, q: line + " ",
     "CRLF": lambda line, ops, q: line + "\r",  # the line then ends in "\r\n"
     "operand past the qreg": lambda line, ops, q: line.replace(f"q[{ops[-1]}]", f"q[{q}]"),
+    "leading zero": lambda line, ops, q: line.replace(f"q[{ops[0]}]", f"q[0{ops[0]}]"),
     "repeated operand": lambda line, ops, q: f"cx q[{ops[0]}],q[{ops[0]}];",
     "ry(1e400)": lambda line, ops, q: f"ry(1e400) q[{ops[0]}];",
     "ry(1e+400)": lambda line, ops, q: f"ry(1e+400) q[{ops[0]}];",
@@ -545,6 +572,11 @@ class TestCanonicalRoute:
             circuit = parse_qasm_subset(doc.text)
         assert len(circuit.gates) == doc.gate_line_count
         assert seen and all(line.startswith(("OPENQASM", "include", "qreg", "creg", "measure")) for line in seen)
+
+    def test_operands_share_one_int_per_qubit(self):
+        parsed = parse_qasm_subset(export_qasm(build_full_circuit(8)).text)
+        operands = [q for gate in parsed.gates for q in gate.qubits]
+        assert len(set(map(id, operands))) == len(set(operands))
 
     @pytest.mark.parametrize("mutation", [*_MUTATIONS, "moved above the qreg"])
     @given(st.data())
