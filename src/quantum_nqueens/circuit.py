@@ -13,13 +13,13 @@ that `_checked_gates` checks, a C-level pass per check, operand range
 included. `build_full_circuit` appends all three stages to one set of
 columns and checks them once, so building, `gate_census` and the QASM export
 make no Gate; `Circuit.gates`, the tuple of Gate that the simulator reads, is
-built on first access and kept.
+built from the columns on each read. An operand tuple holds ints only, so
+CPython's cyclic collector stops tracking it at its first pass, and a large
+circuit costs later collections nothing.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import itertools
 import math
 import numbers
@@ -185,32 +185,33 @@ class Circuit:
     the kinds, the operand tuples and the angles (None for a gate without).
 
     `Circuit(layout, gates)` checks that every entry is a Gate with every
-    operand inside the layout, and keeps the gates. The builders and the
-    parser make a circuit from columns that `_checked_gates` has already
-    checked, and no Gate exists until `gates` is first read; it is then
-    kept. `len(circuit)` is the gate count. Circuits are equal when their
-    layouts and columns are, which is when their gates are.
+    operand inside the layout, and keeps the checked columns of the gates.
+    The builders and the parser make a circuit from columns that
+    `_checked_gates` has already checked. `gates` builds a new tuple of Gate
+    from the columns on each read. `len(circuit)` is the gate count.
+    Circuits are equal when their layouts and columns are, which is when
+    their gates are.
     """
 
-    __slots__ = ("layout", "_kinds", "_qubits", "_thetas", "_gates")
+    __slots__ = ("layout", "_kinds", "_qubits", "_thetas")
 
     def __init__(self, layout: RegisterLayout, gates: Iterable[Gate]) -> None:
-        gates = tuple(gates)  # a caller's list could change after the checks
+        gates = tuple(gates)  # read more than once below, so no iterator
         if not all(map(isinstance, gates, itertools.repeat(Gate))):
             entry = next(g for g in gates if not isinstance(g, Gate))
             raise ValueError(f"circuit entry {entry!r} is not a Gate")
-        self._set(layout, *_checked_gates(*_columns(gates), layout.q_total), gates)
+        self._set(layout, *_checked_gates(*_columns(gates), layout.q_total))
 
     @classmethod
     def _from_columns(cls, layout: RegisterLayout, kinds: list, qubits: list, thetas: list):
         """The circuit of columns that `_checked_gates` returned for layout.q_total,
         taken as they are: no caller may change them afterwards."""
         self = object.__new__(cls)
-        self._set(layout, kinds, qubits, thetas, None)
+        self._set(layout, kinds, qubits, thetas)
         return self
 
     def _set(self, *values) -> None:
-        """Set the layout, the three columns and the gates, or None, in slot order."""
+        """Set the layout and the three columns, in slot order."""
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
@@ -222,12 +223,8 @@ class Circuit:
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        """The gates, built from the columns on first access and then kept."""
-        if self._gates is None:
-            with gc_paused():
-                gates = tuple(_gate_rows(self._kinds, self._qubits, self._thetas))
-            object.__setattr__(self, "_gates", gates)
-        return self._gates
+        """The gates, built from the columns on each read."""
+        return tuple(_gate_rows(self._kinds, self._qubits, self._thetas))
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -248,26 +245,6 @@ class Circuit:
 
     def __reduce__(self):
         return type(self), (self.layout, self.gates)
-
-
-@contextlib.contextmanager
-def gc_paused():
-    """Run a block, or each call of a decorated function, with CPython's
-    cyclic garbage collector off.
-
-    A whole gate list is tens of thousands of tuples that cannot form a
-    reference cycle, yet their allocation would trigger collections that scan
-    every live container; paused, the collection is put off, not skipped. At
-    exit, normal or by an exception, the collector is turned back on only if
-    it was on at entry.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def layout(n: int) -> RegisterLayout:
@@ -380,11 +357,9 @@ def _add_diagonal_checks(columns: tuple[list, list, list], n: int) -> None:
     thetas.extend(itertools.repeat(None, len(qubits) - len(thetas)))
 
 
-@gc_paused()
 def build_full_circuit(n: int) -> Circuit:
     """W-state preparation for every row, then column checks, then diagonal
-    checks, appended to one set of columns and checked once, with the cyclic
-    collector paused."""
+    checks, appended to one set of columns and checked once."""
     lay = layout(n)
     n = lay.n
     columns = [], [], []

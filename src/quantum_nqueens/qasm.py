@@ -13,7 +13,8 @@ the qreg, converted and checked a run at a time. Every other line takes the
 per-line rules, the one owner of the full grammar and the one place that
 raises a parse error; a run that fails its checks is handed to them too.
 Either way every gate passes Gate's checks, and the first bad line is the
-one reported. The gates go straight into the parsed circuit's columns.
+one reported. The gates go straight into the parsed circuit's columns,
+their operands as tuples of ints, as the builders make them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .circuit import Circuit, Gate, RegisterLayout, _checked_gates, gc_paused, layout
+from .circuit import Circuit, Gate, RegisterLayout, _checked_gates, layout
 
 
 class QasmParseError(ValueError):
@@ -194,14 +195,12 @@ class _Operands(dict):
         return value
 
 
-@gc_paused()
 def parse_qasm_subset(text: str) -> Circuit:
     """Parse text produced by export_qasm back into a Circuit.
 
     CRY is left in its decomposed ry/cx form (unitarily identical). Anything
     outside the emitted subset raises QasmParseError with the line number.
-    A measure must write a bit of the one declared creg. Parsed with the
-    cyclic collector paused.
+    A measure must write a bit of the one declared creg.
 
     Lines take one of two routes. Each chunk's lines are matched against
     _CANONICAL_GATE_RE in one pass; after the qreg, a run of consecutive

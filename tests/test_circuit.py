@@ -32,7 +32,6 @@ from quantum_nqueens.circuit import (
     diagonal_pair_count_simplified,
     diagonal_pair_count_sum,
     gate_census,
-    gc_paused,
     layout,
     qubit_total,
     w_prep_gate_count,
@@ -408,15 +407,13 @@ class TestColumns:
     )
     def test_columns_and_gates_make_the_same_circuit(self, made):
         columns_made, lay, gates = made()
-        assert columns_made._gates is None  # no Gate until `gates` is read
         given = [Gate(*g) for g in gates]
         gates_made = Circuit(lay, given)
-        assert all(map(operator.is_, gates_made.gates, given))  # the given gates are kept
         assert columns_made == gates_made and gates_made == columns_made
         assert hash(columns_made) == hash(gates_made)
-        assert columns_made.gates == gates_made.gates == tuple(gates)
-        assert all(type(g) is Gate for g in columns_made.gates)
-        assert columns_made.gates is columns_made.gates  # built once, then kept
+        for read in (columns_made.gates, columns_made.gates, gates_made.gates, gates_made.gates):
+            assert type(read) is tuple and read == tuple(given)
+            assert all(type(g) is Gate for g in read)
         assert len(columns_made) == len(gates_made) == len(gates)
         assert repr(columns_made) == repr(gates_made)
         assert pickle.loads(pickle.dumps(columns_made)) == columns_made
@@ -449,7 +446,6 @@ class TestColumns:
             for argv in (["counts", "32"], ["export-qasm", "32"]):
                 assert cli.main(argv, out=io.StringIO()) == 0
         assert len(parsed) == doc.gate_line_count
-        assert built._gates is None and parsed._gates is None
         assert len(built.gates) == len(built)
 
 
@@ -626,8 +622,9 @@ class TestFullCircuit:
 
 
 class TestCollectorPause:
-    """The two gate-list producers run with the cyclic collector off and leave
-    it as they found it, on or off, whether they return or raise."""
+    """Nothing pauses the cyclic collector any more: building, parsing, `counts`
+    and `export-qasm` leave it as they find it, on or off, whether they return
+    or raise, and it stays that way while they run."""
 
     @pytest.fixture(params=[True, False], ids=["on", "off"])
     def collector(self, request):
@@ -635,11 +632,6 @@ class TestCollectorPause:
         (gc.enable if request.param else gc.disable)()
         yield request.param
         (gc.enable if was else gc.disable)()
-
-    def test_block_runs_paused(self, collector):
-        with gc_paused():
-            assert not gc.isenabled()
-        assert gc.isenabled() == collector
 
     def test_build_restores_the_collector(self, collector, monkeypatch):
         seen = []
@@ -649,7 +641,7 @@ class TestCollectorPause:
             lambda columns, n: seen.append(gc.isenabled()) or add(columns, n),
         )
         assert len(build_full_circuit(5)) == sum(closed_form_census(5).counts.values())
-        assert seen == [False]
+        assert seen == [collector]
         assert gc.isenabled() == collector
 
     def test_build_restores_the_collector_when_it_raises(self, collector):
@@ -667,7 +659,7 @@ class TestCollectorPause:
         monkeypatch.setattr(qasm, "_checked_gates", checked_gates)
         text = qasm.export_qasm(build_full_circuit(3)).text
         assert len(qasm.parse_qasm_subset(text)) == sum(size for _, size in seen) > 0
-        assert not any(enabled for enabled, _ in seen)
+        assert all(enabled == collector for enabled, _ in seen)
         assert gc.isenabled() == collector
 
     def test_parse_restores_the_collector_when_it_raises(self, collector):
@@ -679,6 +671,32 @@ class TestCollectorPause:
         assert err.value.lineno == bad + 1
         assert str(err.value) == f"line {bad + 1}: gate operands must be distinct"
         assert gc.isenabled() == collector
+
+    def test_no_call_switches_the_collector(self, collector):
+        def refused():
+            raise AssertionError("the collector was switched")
+
+        with mock.patch.object(gc, "disable", refused), mock.patch.object(gc, "enable", refused):
+            built = build_full_circuit(32)
+            assert gc.isenabled() == collector
+            doc = qasm.export_qasm(built)
+            assert len(qasm.parse_qasm_subset(doc.text)) == doc.gate_line_count
+            assert gc.isenabled() == collector
+            for argv in (["counts", "32"], ["export-qasm", "32"]):
+                assert cli.main(argv, out=io.StringIO()) == 0
+                assert gc.isenabled() == collector
+
+    @pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's collector")
+    def test_operand_tuples_are_untracked_after_a_collection(self):
+        """A tuple of ints cannot be in a reference cycle, and CPython stops
+        tracking it at its first collection: a circuit's many operand tuples
+        add nothing to later collections, so no pause is needed around them."""
+        built = build_full_circuit(32)
+        parsed = qasm.parse_qasm_subset(qasm.export_qasm(built).text)
+        gc.collect()
+        for made in (built, parsed):
+            assert len(made._qubits) > 24_000
+            assert not any(map(gc.is_tracked, made._qubits))
 
 
 class TestCensus:
